@@ -381,7 +381,7 @@ type Runner struct {
 
 	// Reused per-round scratch of the serial phases.
 	assignBuf []int
-	snapBuf   map[int]int
+	snapBuf   []*cluster.Host
 
 	// Flight-recorder state (see probe.go): the cumulative ledger the
 	// per-hour deltas subtract against, and the last completed hour's
@@ -921,19 +921,14 @@ func (r *Runner) detach(v *cluster.VM, rt *hostRT) {
 	}
 }
 
-// snapshotPlacement records VM→host before a rebalance. The returned
-// map is reused across rounds.
-func (r *Runner) snapshotPlacement() map[int]int {
-	if r.snapBuf == nil {
-		r.snapBuf = make(map[int]int, len(r.cluster.VMs()))
-	}
-	clear(r.snapBuf)
+// snapshotPlacement records each VM's host (nil = unplaced) before a
+// rebalance, in cluster VM order: a policy's Rebalance only moves VMs,
+// so the registry keeps its order and positions pair the two sides of
+// applyPlacementChanges. The returned slice is reused across rounds.
+func (r *Runner) snapshotPlacement() []*cluster.Host {
+	r.snapBuf = r.snapBuf[:0]
 	for _, v := range r.cluster.VMs() {
-		if v.Host() != nil {
-			r.snapBuf[v.ID] = v.Host().ID
-		} else {
-			r.snapBuf[v.ID] = -1
-		}
+		r.snapBuf = append(r.snapBuf, v.Host())
 	}
 	return r.snapBuf
 }
@@ -943,21 +938,24 @@ func (r *Runner) snapshotPlacement() map[int]int {
 // resumed first: live migration needs both endpoints powered (the
 // paper's manager wakes a drowsy server before migrating), and this also
 // retires the switch's stale VM→MAC mappings for those hosts.
-func (r *Runner) applyPlacementChanges(before map[int]int) {
-	for _, v := range r.cluster.VMs() {
-		cur := -1
-		if v.Host() != nil {
-			cur = v.Host().ID
+func (r *Runner) applyPlacementChanges(before []*cluster.Host) {
+	vms := r.cluster.VMs()
+	if len(vms) != len(before) {
+		panic(fmt.Sprintf("dcsim: policy %s changed the VM registry during Rebalance (%d → %d VMs)",
+			r.policy.Name(), len(before), len(vms)))
+	}
+	for i, v := range vms {
+		prev, cur := before[i], v.Host()
+		if prev == cur {
+			continue
 		}
-		if prev := before[v.ID]; prev != cur {
-			if prev >= 0 {
-				r.wakeForManagement(r.rts[prev])
-				r.detach(v, r.rts[prev])
-			}
-			if cur >= 0 {
-				r.wakeForManagement(r.rts[cur])
-				r.attach(v, r.rts[cur])
-			}
+		if prev != nil {
+			r.wakeForManagement(r.rts[prev.ID])
+			r.detach(v, r.rts[prev.ID])
+		}
+		if cur != nil {
+			r.wakeForManagement(r.rts[cur.ID])
+			r.attach(v, r.rts[cur.ID])
 		}
 	}
 }

@@ -93,7 +93,7 @@ type Policy struct {
 	// §VII.
 	ipEvaluations uint64
 
-	// Round-scratch buffers reused across fullRelocate calls. A policy
+	// Round-scratch buffers reused across rebalance calls. A policy
 	// instance drives exactly one simulation (the parallel experiment
 	// driver constructs one per run), so reuse is safe and keeps the
 	// hourly rebalance allocation-free in steady state.
@@ -113,6 +113,8 @@ type Policy struct {
 		counts      []int
 		costMeans   [][ProfileHours]float64
 		vmHost      []int32
+		// index is the production round's host index.
+		index hostIndex
 	}
 }
 
@@ -194,28 +196,37 @@ func (p *Policy) Rebalance(c *cluster.Cluster, hr simtime.Hour) {
 		p.fullRelocate(c, hr)
 		return
 	}
-	p.relieveOverloaded(c, hr)
-	p.evacuateUnderloaded(c, hr)
-	p.opportunistic(c, hr)
+	x := p.round(c, hr)
+	p.relieveOverloaded(x)
+	p.evacuateUnderloaded(x)
+	p.opportunistic(x)
+}
+
+// round resets the policy's host index for a production round at hr.
+// The index is round scratch, reused across rounds like the
+// full-relocation buffers.
+func (p *Policy) round(c *cluster.Cluster, hr simtime.Hour) *hostIndex {
+	p.scratch.index.reset(c, hr)
+	return &p.scratch.index
 }
 
 // relieveOverloaded is Neat step 2+3+4 with IP-aware selection and
 // placement.
-func (p *Policy) relieveOverloaded(c *cluster.Cluster, hr simtime.Hour) {
+func (p *Policy) relieveOverloaded(x *hostIndex) {
 	nopts := p.opts.Neat.Options()
-	for _, h := range c.Hosts() {
+	for i, h := range x.hosts {
 		if !nopts.Overload.Overloaded(p.opts.Neat.History(h.ID)) {
 			continue
 		}
-		for _, v := range p.selectionOrder(h, hr) {
-			if h.Utilization(hr) <= nopts.OverloadThr {
+		for _, v := range p.selectionOrder(h, x.hr) {
+			if h.Utilization(x.hr) <= nopts.OverloadThr {
 				break
 			}
-			dst, err := p.placeClosestIP(c, v, hr, h)
-			if err != nil {
+			dst := p.placeClosestIP(x, v, h)
+			if dst < 0 {
 				break
 			}
-			_ = c.Migrate(v, dst)
+			_ = x.migrate(v, i, dst)
 		}
 	}
 }
@@ -244,59 +255,46 @@ func (p *Policy) selectionOrder(h *cluster.Host, hr simtime.Hour) []*cluster.VM 
 	return vms
 }
 
-// placeClosestIP finds the suitable destination with the IP closest to
-// the VM's (§III-D step 4), excluding the avoid host. Suitability uses
-// Neat's overload budget; when nothing fits under it, the budget is
-// relaxed (a stranded VM is worse than a temporary hot spot).
-func (p *Policy) placeClosestIP(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, avoid *cluster.Host) (*cluster.Host, error) {
-	nopts := p.opts.Neat.Options()
-	vip := p.vmIP(v, hr)
-	demand := v.Activity(hr) * float64(v.VCPUs)
-	pick := func(relaxed bool) *cluster.Host {
-		var best *cluster.Host
-		bestDist := math.Inf(1)
-		for _, h := range c.Hosts() {
+// placeClosestIP returns the index of the suitable destination with the
+// IP closest to the VM's (§III-D step 4), excluding the avoid host, or
+// −1 when none fits. Suitability uses Neat's overload budget; when
+// nothing fits under it, the budget is relaxed (a stranded VM is worse
+// than a temporary hot spot). Equally close hosts resolve to the first
+// in cluster order.
+func (p *Policy) placeClosestIP(x *hostIndex, v *cluster.VM, avoid *cluster.Host) int {
+	thr := p.opts.Neat.Options().OverloadThr
+	vip := p.vmIP(v, x.hr)
+	demand := v.Activity(x.hr) * float64(v.VCPUs)
+	pick := func(relaxed bool) int {
+		return x.nearest(vip, func(i int) bool {
+			h := x.hosts[i]
 			if h == avoid || h == v.Host() || !h.CanHost(v) {
-				continue
+				return false
 			}
-			if !relaxed && h.Utilization(hr)+demand/float64(h.VCPUs) > nopts.OverloadThr {
-				continue
-			}
-			if d := math.Abs(h.IP(hr) - vip); d < bestDist {
-				bestDist = d
-				best = h
-			}
-		}
-		return best
+			return relaxed || !(h.Utilization(x.hr)+demand/float64(h.VCPUs) > thr)
+		})
 	}
-	best := pick(false)
-	if best == nil {
-		best = pick(true)
+	if i := pick(false); i >= 0 {
+		return i
 	}
-	if best == nil {
-		return nil, fmt.Errorf("drowsy: no destination for VM %s", v.Name)
-	}
-	return best, nil
+	return pick(true)
 }
 
 // evacuateUnderloaded is Neat step 1 with IP-aware placement of the
 // displaced VMs.
-func (p *Policy) evacuateUnderloaded(c *cluster.Cluster, hr simtime.Hour) {
+func (p *Policy) evacuateUnderloaded(x *hostIndex) {
 	nopts := p.opts.Neat.Options()
-	hosts := append([]*cluster.Host(nil), c.Hosts()...)
-	sort.SliceStable(hosts, func(i, j int) bool {
-		return hosts[i].Utilization(hr) < hosts[j].Utilization(hr)
-	})
-	for _, h := range hosts {
-		if h.NumVMs() == 0 || h.Utilization(hr) >= nopts.Underload {
+	for _, i := range x.byUtilization() {
+		h := x.hosts[i]
+		if h.NumVMs() == 0 || h.Utilization(x.hr) >= nopts.Underload {
 			continue
 		}
 		for _, v := range cluster.SortVMsByMemDesc(h.VMs()) {
-			dst, err := p.placeClosestIP(c, v, hr, h)
-			if err != nil {
+			dst := p.placeClosestIP(x, v, h)
+			if dst < 0 {
 				break
 			}
-			if err := c.Migrate(v, dst); err != nil {
+			if err := x.migrate(v, int(i), dst); err != nil {
 				break
 			}
 		}
@@ -308,23 +306,24 @@ func (p *Policy) evacuateUnderloaded(c *cluster.Cluster, hr simtime.Hour) {
 // the threshold. Both ends of the range (the most idle and the most
 // active VM) are candidates; whichever has a strictly closer destination
 // moves, preferring the larger improvement.
-func (p *Policy) opportunistic(c *cluster.Cluster, hr simtime.Hour) {
-	for _, h := range c.Hosts() {
+func (p *Policy) opportunistic(x *hostIndex) {
+	hr := x.hr
+	for i, h := range x.hosts {
 		// Bounded by the VM count: each iteration removes one VM.
 		for iter := 0; iter < len(h.VMs()); iter++ {
 			if h.IPRange(hr) <= IPRangeThreshold {
 				break
 			}
 			var bestVM *cluster.VM
-			var bestDst *cluster.Host
+			bestDst := -1
 			bestGain := 0.0
 			for _, v := range p.boundaryVMs(h, hr) {
-				dst, err := p.placeClosestIP(c, v, hr, h)
-				if err != nil {
+				dst := p.placeClosestIP(x, v, h)
+				if dst < 0 {
 					continue
 				}
 				vip := p.vmIP(v, hr)
-				gain := math.Abs(h.IP(hr)-vip) - math.Abs(dst.IP(hr)-vip)
+				gain := math.Abs(x.ip[i]-vip) - math.Abs(x.ip[dst]-vip)
 				if gain > bestGain {
 					bestGain = gain
 					bestVM, bestDst = v, dst
@@ -333,7 +332,7 @@ func (p *Policy) opportunistic(c *cluster.Cluster, hr simtime.Hour) {
 			if bestVM == nil {
 				break // no move actually brings a VM closer to its peers
 			}
-			if err := c.Migrate(bestVM, bestDst); err != nil {
+			if err := x.migrate(bestVM, i, bestDst); err != nil {
 				break
 			}
 		}

@@ -117,7 +117,7 @@ func TestOpportunisticNarrowsIPRange(t *testing.T) {
 		t.Fatalf("test premise broken: range %v <= threshold %v", h0.IPRange(hr), IPRangeThreshold)
 	}
 	p := New(Options{})
-	p.opportunistic(c, hr)
+	p.opportunistic(p.round(c, hr))
 	if h0.IPRange(hr) > IPRangeThreshold {
 		t.Fatalf("opportunistic pass left range %v > %v", h0.IPRange(hr), IPRangeThreshold)
 	}
