@@ -72,6 +72,14 @@ func (s *Switch) UnmapHost(mac MAC) {
 	delete(s.hostVMs, mac)
 }
 
+// HostVMs returns the VM list of suspended host mac and whether it is
+// mapped. MapSuspended copied the list in and nothing mutates it after,
+// so callers may keep it but must not modify it.
+func (s *Switch) HostVMs(mac MAC) ([]VMID, bool) {
+	vms, ok := s.hostVMs[mac]
+	return vms, ok
+}
+
 // Lookup returns the suspended host of a VM, if any.
 func (s *Switch) Lookup(vm VMID) (MAC, bool) {
 	mac, ok := s.vmToHost[vm]

@@ -36,6 +36,9 @@ func TestUnmapHost(t *testing.T) {
 	if mac, ok := s.Lookup(20); !ok || mac != 2 {
 		t.Fatal("VM 20 mapping lost")
 	}
+	if _, ok := s.HostVMs(1); ok {
+		t.Fatal("host 1 still listed after UnmapHost")
+	}
 	s.UnmapHost(1) // idempotent
 	hosts := s.SuspendedHosts()
 	if len(hosts) != 1 || hosts[0] != 2 {
@@ -70,6 +73,9 @@ func TestMapSuspendedCopiesSlice(t *testing.T) {
 	vms[0] = 99 // mutate caller's slice
 	if _, ok := s.Lookup(1); !ok {
 		t.Fatal("switch must copy the VM list")
+	}
+	if got, ok := s.HostVMs(5); !ok || len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("HostVMs(5) = %v, %v; want the switch's copy [1 2]", got, ok)
 	}
 }
 

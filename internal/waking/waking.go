@@ -35,7 +35,6 @@ type Module struct {
 	sw        *netsim.Switch
 	schedule  map[netsim.MAC]*sim.Timer
 	wakeDates map[netsim.MAC]simtime.Time
-	hostVMs   map[netsim.MAC][]netsim.VMID
 
 	lastBeat simtime.Time
 	failed   bool
@@ -47,7 +46,7 @@ type Module struct {
 	deliver func(netsim.MAC, netsim.WakeOutcome)
 
 	peer       *Module
-	mirrorCopy *state // continuously mirrored copy of the peer's state
+	mirrorCopy *state // the peer's snapshot(), kept equal by its syncHost
 
 	scheduledWakes uint64
 	packetWakes    uint64
@@ -77,7 +76,6 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 		lead:      lead,
 		schedule:  make(map[netsim.MAC]*sim.Timer),
 		wakeDates: make(map[netsim.MAC]simtime.Time),
-		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
 	}
 	m.sw = netsim.NewSwitch(m.fireWoL)
 	return m
@@ -99,7 +97,6 @@ func (m *Module) Switch() *netsim.Switch { return m.sw }
 // existed (§V-B): the host sleeps until an external request.
 func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime.Time, hasDate bool) {
 	m.sw.MapSuspended(mac, vms)
-	m.hostVMs[mac] = append([]netsim.VMID(nil), vms...)
 	if hasDate {
 		fireAt := wakeAt - simtime.Time(m.lead)
 		if fireAt < m.engine.Now() {
@@ -110,23 +107,23 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 			m.scheduledWakes++
 			delete(m.schedule, mac)
 			delete(m.wakeDates, mac)
+			m.syncHost(mac)
 			m.fireWoL(mac)
 		})
 	}
-	m.syncToPeer()
+	m.syncHost(mac)
 }
 
 // HostResumed clears a host's mappings and pending schedule once it is
 // awake again.
 func (m *Module) HostResumed(mac netsim.MAC) {
 	m.sw.UnmapHost(mac)
-	delete(m.hostVMs, mac)
 	if t, ok := m.schedule[mac]; ok {
 		t.Cancel()
 		delete(m.schedule, mac)
 	}
 	delete(m.wakeDates, mac)
-	m.syncToPeer()
+	m.syncHost(mac)
 }
 
 // ScheduledFire returns the instant at which a host's pending
@@ -161,6 +158,7 @@ func (m *Module) FireScheduled(mac netsim.MAC) bool {
 	t.Cancel()
 	delete(m.schedule, mac)
 	delete(m.wakeDates, mac)
+	m.syncHost(mac)
 	m.scheduledWakes++
 	m.fireWoL(mac)
 	return true
@@ -228,7 +226,7 @@ func (m *Module) CheckPeer(timeout simtime.Duration) bool {
 		}
 		sort.Slice(macs, func(i, j int) bool { return macs[i] < macs[j] })
 		for _, mac := range macs {
-			if _, already := m.hostVMs[mac]; already {
+			if _, already := m.sw.HostVMs(mac); already {
 				continue
 			}
 			wakeAt, hasDate := m.mirrorCopy.wakeDates[mac]
@@ -245,14 +243,15 @@ func (m *Module) CheckPeer(timeout simtime.Duration) bool {
 	return true
 }
 
-// snapshot deep-copies the replicable state.
+// snapshot copies the replicable state. Pair seeds a mirror with it;
+// afterwards syncHost keeps the mirror equal to it one host at a time.
 func (m *Module) snapshot() *state {
 	s := &state{
 		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
 		wakeDates: make(map[netsim.MAC]simtime.Time),
 	}
-	for mac, vms := range m.hostVMs {
-		s.hostVMs[mac] = append([]netsim.VMID(nil), vms...)
+	for _, mac := range m.sw.SuspendedHosts() {
+		s.hostVMs[mac], _ = m.sw.HostVMs(mac)
 	}
 	for mac, at := range m.wakeDates {
 		s.wakeDates[mac] = at
@@ -260,13 +259,26 @@ func (m *Module) snapshot() *state {
 	return s
 }
 
-// syncToPeer pushes a fresh snapshot to the peer's mirror buffer. In the
-// paper modules mirror each other over the network; here the copy is
-// synchronous and incorruptible, which is the property the fault
-// tolerance needs.
-func (m *Module) syncToPeer() {
-	if m.peer != nil && !m.peer.failed {
-		m.peer.mirrorCopy = m.snapshot()
+// syncHost writes host mac's VM list (shared with the switch) and
+// waking date, or their absence, into the peer's mirror. Every call
+// that changes them ends with it, so the mirror equals the primary's
+// snapshot() after every public call. In the paper modules mirror each
+// other over the network; here the copy is synchronous and
+// incorruptible, which is the property the fault tolerance needs.
+func (m *Module) syncHost(mac netsim.MAC) {
+	if m.peer == nil || m.peer.failed {
+		return
+	}
+	mirror := m.peer.mirrorCopy
+	if vms, ok := m.sw.HostVMs(mac); ok {
+		mirror.hostVMs[mac] = vms
+	} else {
+		delete(mirror.hostVMs, mac)
+	}
+	if at, ok := m.wakeDates[mac]; ok {
+		mirror.wakeDates[mac] = at
+	} else {
+		delete(mirror.wakeDates, mac)
 	}
 }
 
