@@ -43,15 +43,14 @@ func scenarioUsage() {
   list                     show the registered scenario families
   params                   show the sweepable parameters
   run -name F [-hosts N] [-horizon-days N] [-workers N] [-shard-workers N]
-      [-private-cache] [-resolution hourly|event] [-table]
+      [-resolution hourly|event] [-table]
       [-timeseries out.ndjson] [-timeseries-timings]
                            run family F, per-policy energy/SLA/latency JSON on
                            stdout (-table for an aligned text table);
                            -timeseries additionally writes the flight
                            recorder's per-hour ndjson series to a file
   sweep -family F -param P -values a,b,c [-hosts N] [-horizon-days N]
-        [-workers N] [-shard-workers N] [-private-cache]
-        [-resolution hourly|event] [-table]
+        [-workers N] [-shard-workers N] [-resolution hourly|event] [-table]
                            sweep parameter P over the value grid on family F;
                            JSON on stdout (-table for an aligned text table)`)
 }
@@ -80,14 +79,13 @@ func listSweepParams(w io.Writer) {
 // -shard-workers bounds the goroutines *inside* each cell's sharded
 // fleet executor — the knob that matters for one huge fleet rather
 // than many small cells.
-func scaleFlags(fs *flag.FlagSet) (hosts, horizonDays, workers, shardWorkers *int, private *bool, resolution *string) {
+func scaleFlags(fs *flag.FlagSet) (hosts, horizonDays, workers, shardWorkers *int, resolution *string) {
 	hosts = fs.Int("hosts", 0, "override fleet size (0 = family default)")
 	horizonDays = fs.Int("horizon-days", 0, "override horizon in days (0 = family default)")
 	workers = fs.Int("workers", 0,
 		"policy/grid cells run concurrently (0 = GOMAXPROCS, 1 = serial); intra-run parallelism is -shard-workers")
 	shardWorkers = fs.Int("shard-workers", 1,
 		"goroutines per cell's sharded fleet executor (1 = serial; results are bit-identical at any value)")
-	private = fs.Bool("private-cache", false, "per-VM trace memos instead of the shared store")
 	resolution = fs.String("resolution", "",
 		"activity resolution override: hourly or event (empty = family default)")
 	return
@@ -116,7 +114,7 @@ func runScenarioFamily(args []string) {
 		"write the flight recorder's per-hour ndjson series (one line per policy × hour) to this file")
 	timings := fs.Bool("timeseries-timings", false,
 		"include wall-clock executor phase timings in -timeseries lines (non-deterministic columns)")
-	hosts, horizonDays, workers, shardWorkers, private, resolution := scaleFlags(fs)
+	hosts, horizonDays, workers, shardWorkers, resolution := scaleFlags(fs)
 	_ = fs.Parse(args)
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "drowsyctl scenario run: -name is required")
@@ -128,7 +126,7 @@ func runScenarioFamily(args []string) {
 		os.Exit(2)
 	}
 	validateShardWorkers("run", *shardWorkers)
-	opt := scenario.Options{Workers: *workers, PrivateCaches: *private}
+	opt := scenario.Options{Workers: *workers}
 	var fr *obs.FlightRecorder
 	if *timeseries != "" {
 		fr = &obs.FlightRecorder{Timings: *timings}
@@ -182,7 +180,7 @@ func runScenarioSweep(args []string) {
 	param := fs.String("param", "", "parameter to sweep (see `drowsyctl scenario params`)")
 	valueList := fs.String("values", "", "comma-separated, strictly increasing value grid")
 	table := fs.Bool("table", false, "emit an aligned text table instead of JSON")
-	hosts, horizonDays, workers, shardWorkers, private, resolution := scaleFlags(fs)
+	hosts, horizonDays, workers, shardWorkers, resolution := scaleFlags(fs)
 	_ = fs.Parse(args)
 	if *family == "" || *param == "" || *valueList == "" {
 		fmt.Fprintln(os.Stderr, "drowsyctl scenario sweep: -family, -param and -values are required")
@@ -193,7 +191,7 @@ func runScenarioSweep(args []string) {
 	if err := writeScenarioSweep(os.Stdout, *family, *param, *valueList, *table,
 		scenario.Params{Hosts: *hosts, HorizonHours: *horizonDays * 24,
 			Resolution: *resolution, ShardWorkers: *shardWorkers},
-		scenario.Options{Workers: *workers, PrivateCaches: *private}); err != nil {
+		scenario.Options{Workers: *workers}); err != nil {
 		fmt.Fprintln(os.Stderr, "drowsyctl scenario sweep:", err)
 		os.Exit(1)
 	}

@@ -52,7 +52,6 @@ type VM struct {
 	Kind  Kind
 	MemGB int
 	VCPUs int
-	Gen   trace.Generator
 	Model *core.Model
 	// TimerDriven marks VMs whose activity is initiated by local timers
 	// (backup jobs): their next activity registers an hr-timer that the
@@ -62,167 +61,60 @@ type VM struct {
 
 	host       *Host
 	migrations int
-	// cache memoizes Gen's pure hourly levels: the runtime and the
-	// policies query the same (VM, hour) activity many times per
-	// simulated hour, and re-evaluating the generator closure chain
-	// dominated simulation CPU before memoization. Nil when caching is
-	// disabled (see SetCaching).
-	cache *trace.CachedGenerator
-	// shared, when set, replaces the private cache with a concurrent
-	// store shared by every VM replaying the same archetype trace (see
-	// SetSharedTrace). Checked before cache in Activity.
-	shared *trace.Shared
-	// variant, when set, replaces the private cache with a
-	// copy-on-write view over a shared base-trace store: the base
-	// memo's chunks plus an O(1) per-hour shift+jitter overlay (see
-	// SetVariantMemo). Checked after shared in Activity.
-	variant *trace.VariantMemo
-	// tlSeed seeds the within-hour burst expansion consumed by the
-	// sub-hourly simulation mode (internal/timeline). It defaults to a
-	// hash of the VM ID; scenario materialization overrides it with a
-	// structure-derived seed so shared and private timeline stores
-	// replay identical bursts.
-	tlSeed    uint64
-	tlSeedSet bool
-	// tl memoizes the VM's burst timelines (lazily built; nil while the
-	// VM has never been queried or when caching is disabled).
-	tl *trace.TimelineMemo
-	// sharedTL, when set, replaces the private timeline memo with a
-	// concurrent store shared by a replicated population (see
-	// SetSharedTimeline).
-	sharedTL *trace.SharedTimeline
+	// act is the VM's hourly activity (see Wire).
+	act trace.Source
+	// tl memoizes the within-hour burst timelines consumed by the
+	// sub-hourly simulation mode, expanded with tlSeed. A private memo
+	// is built on the first Bursts read, so hourly runs never hold one.
+	tl     *trace.Memo[[]timeline.Burst]
+	tlSeed uint64
 }
 
-// NewVM constructs a VM with a fresh idleness model.
+// NewVM constructs a VM with a fresh idleness model. Its activity is
+// gen read through a private memo, and its timeline seed is a hash of
+// the VM ID (deterministic, so repeated runs of one cluster
+// construction replay identical bursts).
 func NewVM(id int, name string, kind Kind, memGB, vcpus int, gen trace.Generator) *VM {
 	if memGB <= 0 || vcpus <= 0 {
 		panic(fmt.Sprintf("cluster: VM %q with non-positive capacity", name))
 	}
-	return &VM{ID: id, Name: name, Kind: kind, MemGB: memGB, VCPUs: vcpus, Gen: gen,
-		Model: core.New(), cache: trace.Cached(gen)}
+	return &VM{ID: id, Name: name, Kind: kind, MemGB: memGB, VCPUs: vcpus,
+		Model: core.New(), act: trace.NewSource(gen),
+		tlSeed: timeline.MixSeed(0xd40b5eed, uint64(id))}
 }
 
-// SetCaching enables or disables activity memoization (enabled by
-// default). Generators are pure, so the cached and uncached paths
-// return bit-identical levels; disabling exists for the equivalence
-// tests and for callers that mutate Gen mid-run. Disabling also
-// detaches a shared-trace store.
-func (v *VM) SetCaching(on bool) {
-	if !on {
-		v.cache = nil
-		v.shared = nil
-		v.variant = nil
-		v.tl = nil
-		v.sharedTL = nil
-	} else if v.cache == nil && v.shared == nil && v.variant == nil {
-		v.cache = trace.Cached(v.Gen)
+// Wire replaces the VM's activity source and timeline seed, and
+// optionally points its bursts at a timeline memo shared by a
+// replicated population (internal/scenario's workload groups). A nil
+// tl gives the VM a private memo of src expanded with seed. A shared
+// tl must be trace.NewTimelines(seed, ·) over the same levels as src:
+// a mismatched seed would make the VM report one seed while replaying
+// another's bursts, so it panics. src must derive from the VM's own
+// workload; sources are pure, so any memo of it reads bit-identically.
+func (v *VM) Wire(src trace.Source, tl *trace.Memo[[]timeline.Burst], seed uint64) {
+	if tl != nil && tl.Seed() != seed {
+		panic(fmt.Sprintf("cluster: VM %s timeline seed %#x mismatches shared store seed %#x",
+			v.Name, seed, tl.Seed()))
 	}
-}
-
-// SetSharedTrace points the VM at a concurrent shared-trace store
-// instead of its private memo, so populations of VMs replaying one
-// archetype trace share a single memo (internal/scenario's replicated
-// workload groups). s must wrap the VM's own generator — generators are
-// pure, so the levels are bit-identical either way, but a mismatched
-// store would silently replace the workload. Passing nil restores the
-// private cache.
-func (v *VM) SetSharedTrace(s *trace.Shared) {
-	v.shared = s
-	if s != nil {
-		v.cache = nil
-		v.variant = nil
-	} else if v.cache == nil && v.variant == nil {
-		v.cache = trace.Cached(v.Gen)
-	}
-}
-
-// SetVariantMemo points the VM at a copy-on-write variant memo instead
-// of its private cache: the base trace's chunks are shared by the whole
-// workload group while the VM's phase shift and jitter are overlaid per
-// read (internal/scenario's non-replicated groups). m must encode the
-// VM's own generator derivation — the overlay is pure, so the levels
-// are bit-identical to the private memo either way, but a mismatched
-// memo would silently replace the workload. Passing nil restores the
-// private cache.
-func (v *VM) SetVariantMemo(m *trace.VariantMemo) {
-	v.variant = m
-	if m != nil {
-		v.cache = nil
-		v.shared = nil
-	} else if v.cache == nil && v.shared == nil {
-		v.cache = trace.Cached(v.Gen)
-	}
+	v.act, v.tl, v.tlSeed = src, tl, seed
 }
 
 // TimelineSeed returns the seed of the VM's within-hour burst
-// expansion: the explicitly set one, or a default derived from the VM
-// ID (deterministic, so repeated runs of one cluster construction
-// replay identical bursts).
-func (v *VM) TimelineSeed() uint64 {
-	if v.tlSeedSet {
-		return v.tlSeed
-	}
-	return timeline.MixSeed(0xd40b5eed, uint64(v.ID))
-}
-
-// SetTimelineSeed fixes the VM's burst-expansion seed, dropping any
-// memoized timelines (they would encode the old seed).
-func (v *VM) SetTimelineSeed(seed uint64) {
-	v.tlSeed = seed
-	v.tlSeedSet = true
-	v.tl = nil
-}
-
-// SetSharedTimeline points the VM at a concurrent shared timeline store
-// instead of its private memo (the timeline counterpart of
-// SetSharedTrace, used by replicated workload groups). The store must
-// carry the VM's own timeline seed — the expansion is pure, so the
-// bursts are bit-identical either way, but a mismatched seed would
-// silently replace the workload's within-hour shape. Passing nil
-// restores the private path.
-func (v *VM) SetSharedTimeline(s *trace.SharedTimeline) {
-	if s != nil && s.Seed() != v.TimelineSeed() {
-		panic(fmt.Sprintf("cluster: VM %s timeline seed %#x mismatches shared store seed %#x",
-			v.Name, v.TimelineSeed(), s.Seed()))
-	}
-	v.sharedTL = s
-	if s != nil {
-		v.tl = nil
-	}
-}
+// expansion.
+func (v *VM) TimelineSeed() uint64 { return v.tlSeed }
 
 // Bursts returns the VM's within-hour burst timeline for hour h: the
 // deterministic expansion of its activity level into request bursts
-// and idle gaps (internal/timeline). Memoized like Activity; with
-// caching disabled (SetCaching(false)) it recomputes the pure expansion
-// on every call, bit-identically.
+// and idle gaps (internal/timeline).
 func (v *VM) Bursts(h simtime.Hour) []timeline.Burst {
-	if v.sharedTL != nil {
-		return v.sharedTL.Bursts(h)
-	}
-	if v.cache == nil && v.shared == nil && v.variant == nil {
-		// Caching disabled: stay uncached end to end.
-		return timeline.Expand(v.TimelineSeed(), h, v.Activity(h))
-	}
 	if v.tl == nil {
-		v.tl = trace.NewTimelineMemo(v.TimelineSeed())
+		v.tl = trace.NewTimelines(v.tlSeed, v.act)
 	}
-	return v.tl.Bursts(h, v.Activity(h))
+	return v.tl.At(h)
 }
 
 // Activity returns the VM's activity level for the given hour.
-func (v *VM) Activity(h simtime.Hour) float64 {
-	if v.shared != nil {
-		return v.shared.Activity(h)
-	}
-	if v.variant != nil {
-		return v.variant.Activity(h)
-	}
-	if v.cache != nil {
-		return v.cache.Activity(h)
-	}
-	return v.Gen.Activity(h)
-}
+func (v *VM) Activity(h simtime.Hour) float64 { return v.act.Activity(h) }
 
 // Host returns the VM's current host, or nil when unplaced.
 func (v *VM) Host() *Host { return v.host }

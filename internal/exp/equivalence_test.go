@@ -6,14 +6,15 @@ import (
 
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/simtime"
+	"drowsydc/internal/trace"
 )
 
-// runTestbedCaching runs the testbed scenario with per-VM activity
-// memoization on or off, holding everything else fixed.
-func runTestbedCaching(caching bool) *dcsim.Result {
+// runTestbedOn runs the testbed scenario with VM i reading its
+// activity from srcs[i], holding everything else fixed.
+func runTestbedOn(srcs []trace.Source) *dcsim.Result {
 	c := BuildCluster(4, 16, 4, 2, TestbedSpecs())
 	for _, v := range c.VMs() {
-		v.SetCaching(caching)
+		v.Wire(srcs[v.ID], nil, v.TimelineSeed())
 	}
 	return dcsim.NewRunner(dcsim.Config{
 		Hours:         7 * 24,
@@ -59,12 +60,17 @@ func requireIdenticalResults(t *testing.T, a, b *dcsim.Result, what string) {
 	}
 }
 
-// TestCachingPreservesSemantics runs one testbed scenario with activity
-// memoization on vs off and asserts identical energy, suspension,
-// migration and SLA numbers (generators are pure, so the memo must be
-// invisible).
+// TestCachingPreservesSemantics runs one testbed scenario twice over
+// the same activity memos — cold, then warm, so the second run reads
+// the chunks the first one published — and asserts identical energy,
+// suspension, migration and SLA numbers (generators are pure, so the
+// memo's state must be invisible).
 func TestCachingPreservesSemantics(t *testing.T) {
-	requireIdenticalResults(t, runTestbedCaching(true), runTestbedCaching(false), "caching on/off")
+	var srcs []trace.Source
+	for _, s := range TestbedSpecs() {
+		srcs = append(srcs, trace.NewSource(s.Gen))
+	}
+	requireIdenticalResults(t, runTestbedOn(srcs), runTestbedOn(srcs), "cold/warm memos")
 }
 
 // TestSweepSerialParallelIdentical runs the §VI-B sweep serially and on

@@ -21,11 +21,13 @@
 // is a single declaration. See families.go for the built-ins and
 // DESIGN.md ("Scenario catalog") for what each one probes.
 //
-// Replicated workload groups share a single concurrent trace memo
-// (trace.Shared) across all of their VMs, in all concurrently running
+// Every workload group shares a single concurrent trace memo
+// (trace.Memo) across all of its VMs, in all concurrently running
 // policy cells: hundreds of VMs replaying one archetype trace pay the
 // closure-chain evaluation once per hour total, instead of once per VM.
-// Generators are pure, so shared-store and private-cache runs are
-// bit-identical (asserted by equivalence_test.go, along with serial vs
+// Non-replicated members overlay their phase shift and jitter on the
+// shared memo per read (trace.Source). Generators are pure, so these
+// runs are bit-identical to runs where every VM memoizes its own member
+// generator (asserted by equivalence_test.go, along with serial vs
 // parallel execution).
 package scenario

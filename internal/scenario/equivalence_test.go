@@ -72,7 +72,7 @@ func TestSweepSharedPrivateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := RunSweep(sc, Options{PrivateCaches: true})
+	private, err := RunSweep(sc, Options{private: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSharedPrivateIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		private, err := Run(sc, Options{PrivateCaches: true})
+		private, err := Run(sc, Options{private: true})
 		if err != nil {
 			t.Fatal(err)
 		}

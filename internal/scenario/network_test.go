@@ -54,7 +54,7 @@ func TestLossyWanDeterminism(t *testing.T) {
 		sc := lossyWan(6, 3)
 		sc.Tuning.ShardWorkers = workers
 		for _, private := range []bool{false, true} {
-			got, err := Run(sc, Options{PrivateCaches: private})
+			got, err := Run(sc, Options{private: private})
 			if err != nil {
 				t.Fatalf("shard-workers %d private %v: %v", workers, private, err)
 			}

@@ -23,11 +23,6 @@ type Options struct {
 	// GOMAXPROCS, 1 = serial — the mode the equivalence tests compare
 	// against).
 	Workers int
-	// PrivateCaches disables the shared-trace stores, giving every VM
-	// its own private memo (the pre-scenario behaviour). Exists for the
-	// shared-vs-private equivalence test and for memory-vs-sharing
-	// experiments. It wins over Stores.
-	PrivateCaches bool
 	// Stores, when non-nil, sources the shared trace/timeline stores
 	// from a server-lifetime cache instead of building per-run ones, so
 	// repeated runs of the same workload structure (a drowsyd serving
@@ -61,6 +56,11 @@ type Options struct {
 	// boundary, and per-cell resume from Checkpoint.Resume blobs.
 	// Reports stay byte-identical with or without it (see crash.go).
 	Checkpoint *CheckpointPlan
+
+	// private gives every VM a memo of its own member generator, with
+	// no shared store and no overlay: the reference the shared==private
+	// identity tests compare overlay reads against. It wins over Stores.
+	private bool
 }
 
 // PolicyResult is one comparison column of a scenario run.
@@ -185,11 +185,11 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 	return &rep, nil
 }
 
-// stores resolves which shared stores a run uses: none under
-// PrivateCaches, the server-lifetime cache's when Stores is set,
-// per-run ones otherwise.
+// stores resolves which shared stores a run uses: none for the
+// private test reference, the server-lifetime cache's when Stores is
+// set, per-run ones otherwise.
 func (opt Options) stores(sc Scenario) runStores {
-	if opt.PrivateCaches {
+	if opt.private {
 		return runStores{}
 	}
 	if opt.Stores != nil {

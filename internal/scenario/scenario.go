@@ -307,48 +307,34 @@ func (sc Scenario) SimulatedVMs() int {
 	return n
 }
 
-// runStores bundles the concurrent memos shared across every policy
-// cell of a run: one trace store per replicated group, one base-trace
-// store per non-replicated group (overlaid per member by copy-on-write
-// variant memos) and — at sub-hourly resolution — one timeline store on
-// top of each replicated store. The zero value means "no sharing"
-// (every VM holds private memos).
+// runStores bundles the memos shared across every policy cell of a
+// run: one base activity source per workload group and — at sub-hourly
+// resolution — one timeline memo per replicated group. The zero value
+// is the test reference: every VM memoizes its own member generator
+// and timelines, with no overlay.
 type runStores struct {
-	traces    map[int]*trace.Shared
-	variants  map[int]*trace.Shared
-	timelines map[int]*trace.SharedTimeline
+	sources   map[int]trace.Source
+	timelines map[int]*trace.Memo[[]timeline.Burst]
 }
 
-// sharedStores builds one concurrent trace store per workload group,
-// keyed by group index. The stores are shared across every policy cell
-// of a Run — that is the point: all VMs of the group, in all cells,
-// read one memo. Replicated members read the store directly;
-// non-replicated members wrap their group's base store in a
-// trace.VariantMemo, sharing the base chunks while overlaying their
-// phase shift and jitter per read — O(1) member state instead of a full
-// private memo per VM per cell. Stores are sized to the replayed span
-// plus the timer-scan lookahead; hours beyond fall back to direct
-// evaluation. At event resolution each replicated group additionally
-// gets a shared timeline store (seeded identically to the members'
-// private seeds, so sharing stays invisible in the results).
+// sharedStores builds one activity source per workload group, keyed by
+// group index. The sources are shared across every policy cell of a
+// Run — that is the point: all VMs of the group, in all cells, read
+// one memo. Replicated members read the group's source as is;
+// non-replicated members overlay their phase shift and jitter on it
+// (trace.Source.Variant), so member state is O(1) instead of a full
+// private memo per VM per cell. At event resolution each replicated
+// group also gets a shared timeline memo, seeded like its members, so
+// sharing stays invisible in the results.
 func (sc Scenario) sharedStores() runStores {
-	st := runStores{
-		traces:   make(map[int]*trace.Shared),
-		variants: make(map[int]*trace.Shared),
-	}
-	horizon := sc.Start + simtime.Hour(sc.HorizonHours) + simtime.HoursPerYear
+	st := runStores{sources: make(map[int]trace.Source)}
 	if sc.Resolution == dcsim.ResolutionEvent {
-		st.timelines = make(map[int]*trace.SharedTimeline)
+		st.timelines = make(map[int]*trace.Memo[[]timeline.Burst])
 	}
 	for gi, g := range sc.Groups {
-		if !g.Replicated {
-			st.variants[gi] = trace.NewShared(g.Gen, horizon)
-			continue
-		}
-		st.traces[gi] = trace.NewShared(g.Gen, horizon)
-		if st.timelines != nil {
-			st.timelines[gi] = trace.NewSharedTimeline(
-				memberTimelineSeed(gi, g, 0), st.traces[gi], horizon)
+		st.sources[gi] = trace.NewSource(g.Gen)
+		if g.Replicated && st.timelines != nil {
+			st.timelines[gi] = trace.NewTimelines(memberTimelineSeed(gi, g, 0), st.sources[gi])
 		}
 	}
 	return st
@@ -370,7 +356,7 @@ func memberTimelineSeed(gi int, g WorkloadGroup, i int) uint64 {
 }
 
 // memberShift is member i's phase shift in hours, wrapped within the
-// week. Shared by memberGen and the variant-memo wiring so the two
+// week. Shared by memberGen and the overlay wiring so the two
 // derivations cannot drift apart.
 func memberShift(g WorkloadGroup, i int) int {
 	if g.ShiftStepHours == 0 {
@@ -401,8 +387,8 @@ func (sc Scenario) memberGen(g WorkloadGroup, i int) trace.Generator {
 
 // materialize builds one policy cell's cluster, its churn schedule and
 // the per-host power-profile overrides. Each cell owns a disjoint
-// cluster (cells run concurrently); shared trace and timeline stores
-// are the only state deliberately common to all cells.
+// cluster (cells run concurrently); shared activity and timeline
+// memos are the only state deliberately common to all cells.
 func (sc Scenario) materialize(st runStores) (
 	*cluster.Cluster, []dcsim.Arrival, []dcsim.Departure, map[int]power.Profile) {
 	c := cluster.New()
@@ -439,26 +425,23 @@ func (sc Scenario) materialize(st runStores) (
 			if int(at-sc.Start) >= sc.HorizonHours {
 				continue // would arrive after the run ends
 			}
+			gen := sc.memberGen(g, i)
 			v := cluster.NewVM(vmID, fmt.Sprintf("%s-%03d", g.Name, i),
-				g.Kind, g.MemGB, g.VCPUs, sc.memberGen(g, i))
+				g.Kind, g.MemGB, g.VCPUs, gen)
 			v.TimerDriven = g.TimerDriven
+			src, ok := st.sources[gi]
+			if !ok {
+				src = trace.NewSource(gen)
+			} else if !g.Replicated {
+				// The overlay's derivation must be exactly memberGen's:
+				// same seed, shift and jitter over the same base, which
+				// is what makes it bit-identical to a private memo.
+				src = src.Variant(g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount())
+			}
 			// The timeline seed is set unconditionally (it is inert at
 			// hourly resolution) so the same scenario produces the same
 			// bursts whether or not stores are shared.
-			v.SetTimelineSeed(memberTimelineSeed(gi, g, i))
-			if s, ok := st.traces[gi]; ok {
-				v.SetSharedTrace(s)
-			}
-			if vs, ok := st.variants[gi]; ok {
-				// The memo's derivation must be exactly memberGen's:
-				// same seed, shift and jitter over the same base, which
-				// is what makes it bit-identical to a private memo.
-				v.SetVariantMemo(trace.NewVariantMemo(
-					vs, g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount()))
-			}
-			if tl, ok := st.timelines[gi]; ok {
-				v.SetSharedTimeline(tl)
-			}
+			v.Wire(src, st.timelines[gi], memberTimelineSeed(gi, g, i))
 			vmID++
 			if at > sc.Start {
 				arrivals = append(arrivals, dcsim.Arrival{At: at, VM: v})

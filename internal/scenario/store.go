@@ -7,24 +7,24 @@ import (
 	"sync/atomic"
 )
 
-// StoreCache promotes the per-run shared trace/timeline stores to
+// StoreCache promotes the per-run shared activity and timeline memos to
 // server lifetime: a drowsyd process keeps one StoreCache, passes it to
 // every Run/RunSweep via Options.Stores, and all requests that
 // materialize the same workload structure read the same immutable
-// memos. Within one run the stores are already shared across every
+// memos. Within one run the memos are already shared across every
 // policy cell and sweep point; the cache extends exactly that sharing
-// across requests, which is safe for the same reason — trace.Shared,
-// trace.SharedTimeline and the trace.VariantMemo base stores are
-// append-only concurrent memos whose reads are bit-identical to direct
-// evaluation, so two concurrent requests racing on one store can only
+// across requests, which is safe for the same reason — trace.Memo is an
+// append-only concurrent memo whose reads are bit-identical to direct
+// evaluation, so two concurrent requests racing on one memo can only
 // ever agree.
 //
 // Entries are keyed by the scenario's workload structure: family name,
 // start, horizon, resolution and every scalar field of every workload
 // group. Tuning, network and sweep knobs are deliberately absent — none
 // of them reaches a store (variant jitter and phase shifts are overlaid
-// per read by VariantMemo, never written into the base memo), so a
-// grace sweep and a wake-loss sweep of the same family share one entry.
+// per read by each member's trace.Source, never written into the base
+// memo), so a grace sweep and a wake-loss sweep of the same family
+// share one entry.
 // The key cannot see a group's generator function; callers must only
 // pass scenarios whose groups are a pure function of the key, which
 // holds for every registry family (Build is deterministic in Params).
@@ -76,11 +76,12 @@ func (c *StoreCache) Promotions() uint64 {
 	return c.promotions.Load()
 }
 
-// structuralKey identifies everything sharedStores reads: the replay
-// span (start + horizon), whether timeline stores exist (resolution)
-// and each group's structural scalars. Field names are spelled into the
-// key so two groups that happen to collide numerically across different
-// fields cannot alias.
+// structuralKey identifies everything sharedStores reads — whether
+// timeline memos exist (resolution) and each group's structural
+// scalars — plus the replay span (start + horizon), which keeps runs
+// of different spans in separate entries. Field names are spelled into
+// the key so two groups that happen to collide numerically across
+// different fields cannot alias.
 func structuralKey(sc Scenario) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|start=%d|horizon=%d|res=%d|", sc.Name, sc.Start, sc.HorizonHours, sc.Resolution)

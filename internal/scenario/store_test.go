@@ -32,7 +32,7 @@ func TestStoreCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := RunFamily("always-on-mix", p, Options{Workers: 1, PrivateCaches: true})
+	private, err := RunFamily("always-on-mix", p, Options{Workers: 1, private: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestSubHourlySharedPrivateIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := Run(sc, Options{PrivateCaches: true})
+	private, err := Run(sc, Options{private: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,11 +126,14 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	latest := map[int][]byte{}
+	var mu sync.Mutex // the sink fires from concurrently running cells
 	_, err = scenario.RunFamily("always-on-mix",
 		scenario.Params{Hosts: 6, HorizonHours: 3 * 24, ShardWorkers: 1},
 		scenario.Options{Checkpoint: &scenario.CheckpointPlan{
 			EveryHours: 24,
 			Sink: func(cell int, policy string, hr simtime.Hour, data []byte) {
+				mu.Lock()
+				defer mu.Unlock()
 				latest[cell] = data // later hours overwrite: keep the newest
 			},
 		}})

@@ -94,8 +94,8 @@ func (s *Server) initMetrics() {
 		"Batched model-cell updates that fell back to the exact math.Exp computation.",
 		core.ObserveExactCount)
 	r.CounterFunc("drowsydc_trace_chunk_publishes_total", "",
-		"Shared-trace chunks computed and published across all stores in the process.",
-		trace.SharedPublishCount)
+		"Activity and timeline memo chunks computed and published across all memos in the process.",
+		trace.PublishCount)
 }
 
 // observeRequest records one finished request into the HTTP metrics:

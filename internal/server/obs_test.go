@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,40 @@ func TestServeMetrics(t *testing.T) {
 	if status, _, _ := post(t, ts, "/metrics", "{}"); status != 405 {
 		t.Fatalf("POST /metrics = %d, want 405", status)
 	}
+
+	// Every memo's chunk publications count, timeline memos included.
+	// The second run misses the result cache (another shard count) but
+	// finds the workload's shared activity memos warm, so only its
+	// per-VM timeline memos can move the counter.
+	var before uint64
+	for _, extra := range []string{"", `,"shard_workers":2`} {
+		before = chunkPublishes(t, ts)
+		spec := `{"family":"always-on-mix","hosts":6,"horizon_days":7,"resolution":"event"` + extra + `}`
+		if status, _, _ := post(t, ts, "/v1/run", spec); status != 200 {
+			t.Fatalf("event-resolution run status %d", status)
+		}
+		quiesce(t, s)
+	}
+	if after := chunkPublishes(t, ts); after <= before {
+		t.Errorf("event-resolution rerun left drowsydc_trace_chunk_publishes_total at %d", after)
+	}
+}
+
+// chunkPublishes scrapes the memo chunk publication counter.
+func chunkPublishes(t *testing.T, ts *httptest.Server) uint64 {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "drowsydc_trace_chunk_publishes_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no drowsydc_trace_chunk_publishes_total sample")
+	return 0
 }
 
 // TestServeStatsGolden pins the grown stats document. Workers is fixed

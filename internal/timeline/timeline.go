@@ -15,9 +15,9 @@
 // Determinism contract: Expand is a pure function of (seed, hour,
 // level), built on the same splitmix64 hashing as trace.Jitter's noise.
 // The same inputs always yield the same bursts, which is what makes the
-// expansion memoizable (trace.TimelineMemo, trace.SharedTimeline) and
-// keeps simulations bit-identical across runs, worker counts and cache
-// configurations.
+// expansion memoizable (trace.NewTimelines, private or shared across
+// policy cells) and keeps simulations bit-identical across runs,
+// worker counts and memo sharing.
 package timeline
 
 import "drowsydc/internal/simtime"

@@ -16,6 +16,13 @@
 // rules plus deterministic noise. The substitution preserves exactly the
 // properties the evaluation measures: periodicity at the four calendar
 // scales the idleness model learns.
+//
+// Generators are pure, so consumers read them through memos (memo.go):
+// Memo is one chunked memo of a pure function of the hour, used for
+// activity levels and within-hour burst timelines alike, private to a
+// VM or shared across concurrently running simulations; Source is a
+// VM's activity, a memo of a base generator read through the member's
+// phase shift and jitter overlay.
 package trace
 
 import (

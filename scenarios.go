@@ -35,8 +35,9 @@ const (
 	ResolutionEvent = dcsim.ResolutionEvent
 )
 
-// ScenarioOptions tunes execution (worker count, private trace caches).
-// Every option combination yields bit-identical reports.
+// ScenarioOptions tunes execution (worker count, progress and probe
+// hooks, cancellation, checkpointing). Every option combination yields
+// bit-identical reports.
 type ScenarioOptions = scenario.Options
 
 // ScenarioReport is a scenario run's JSON-serializable outcome: one
