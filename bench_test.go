@@ -138,7 +138,7 @@ func BenchmarkConsolidationScalingOasis(b *testing.B) {
 // fanned out over GOMAXPROCS shard workers. Horizons shrink as the
 // fleet grows (a week, a month, a day) so CI's single-iteration smoke
 // pass stays bounded while the big sizes still prove the
-// struct-of-arrays runtime holds million-VM-hour workloads without
+// sharded runtime holds million-VM-hour workloads without
 // memory exhaustion. Consolidation runs in the trigger-based
 // production mode (no full relocation) with a single hour-0 round: the
 // series measures the executor, not the policy — the policy's own cost

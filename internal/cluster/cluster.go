@@ -61,6 +61,9 @@ type VM struct {
 
 	host       *Host
 	migrations int
+	// slot is the VM's position in the current simulation runtime's
+	// per-VM tables (see Slot).
+	slot int
 	// act is the VM's hourly activity (see Wire).
 	act trace.Source
 	// tl memoizes the within-hour burst timelines consumed by the
@@ -119,6 +122,17 @@ func (v *VM) Activity(h simtime.Hour) float64 { return v.act.Activity(h) }
 // Host returns the VM's current host, or nil when unplaced.
 func (v *VM) Host() *Host { return v.host }
 
+// Slot returns the dense index a simulation runtime stamped on the VM
+// (SetSlot), 0 until one does. It addresses the runtime's per-VM
+// tables and never orders or identifies anything in an output: ties
+// break on ID.
+func (v *VM) Slot() int { return v.slot }
+
+// SetSlot stamps the VM's dense runtime index. A runtime numbers the
+// VMs it drives 0..n−1 once, at construction; a VM driven by a later
+// runtime is restamped by it.
+func (v *VM) SetSlot(slot int) { v.slot = slot }
+
 // Migrations returns the number of migrations the VM experienced.
 func (v *VM) Migrations() int { return v.migrations }
 
@@ -151,6 +165,8 @@ type Host struct {
 	Subnet int
 
 	vms []*VM
+	// pos is the host's index in its cluster's Hosts() (see Pos).
+	pos int
 }
 
 // NewHost constructs a host.
@@ -163,6 +179,13 @@ func NewHost(id int, name string, memGB, vcpus, maxVMs int) *Host {
 
 // VMs returns the hosted VMs (shared slice; callers must not mutate).
 func (h *Host) VMs() []*VM { return h.vms }
+
+// Pos returns the host's index in its cluster's Hosts(), stamped by
+// AddHost. Hosts are never removed, so the position is fixed for the
+// cluster's life, and policies and the runtime index per-host tables
+// by it. Like a VM slot it never reaches an output: ties break on
+// position only where they already broke on Hosts() order.
+func (h *Host) Pos() int { return h.pos }
 
 // NumVMs returns the number of hosted VMs.
 func (h *Host) NumVMs() int { return len(h.vms) }
@@ -255,8 +278,11 @@ type Cluster struct {
 // (the paper's 10 Gb/s network).
 func New() *Cluster { return &Cluster{MigrationGBps: 1.25} }
 
-// AddHost appends a host.
-func (c *Cluster) AddHost(h *Host) { c.hosts = append(c.hosts, h) }
+// AddHost appends a host and stamps its position.
+func (c *Cluster) AddHost(h *Host) {
+	h.pos = len(c.hosts)
+	c.hosts = append(c.hosts, h)
+}
 
 // AddVM registers a VM (initially unplaced).
 func (c *Cluster) AddVM(v *VM) { c.vms = append(c.vms, v) }

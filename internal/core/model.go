@@ -87,9 +87,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Model is a VM's idleness model. The zero value is not ready to use;
-// construct with New. Model is not safe for concurrent mutation; each VM
-// owns exactly one and the per-host model builder updates it once per
-// hour (§III-A), so no locking is needed.
+// construct with New. Model is not safe for concurrent use — IPAt and
+// IPProfileInto write its scores cache too; each VM owns exactly one,
+// and the simulation runtime reads and updates it only from the shard
+// owning the VM's host or from its serial phases, so no locking is
+// needed.
 type Model struct {
 	// SI scores per calendar scale; all in [−1, 1], positive = idle.
 	// The year scale is by far the largest table (12×31×24 floats) while
@@ -186,29 +188,39 @@ func (m *Model) IP(st simtime.Stamp) float64 {
 
 // IPProfileInto fills out[i] with IP(stamps[i]) for a whole matching
 // horizon in one call — the shape consolidation rounds use, where each
-// VM's IP is read for every hour of the next day. The SI gathers are
-// served from the scores cache (hot across consecutive rounds, whose
-// horizons overlap by all but one hour); the weighted dot product is
-// recomputed against the live weights, so results are bit-identical to
-// per-hour IP calls.
+// VM's IP is read for every hour of the next day. Results are
+// bit-identical to per-hour IP calls (see gathered).
 func (m *Model) IPProfileInto(stamps []simtime.Stamp, out []float64) {
-	w := m.W
 	for i := range out {
-		st := &stamps[i]
-		key := ipCacheKeyOf(*st)
-		slot := key & (ipCacheSlots - 1)
-		epoch := m.hodEpoch[st.HourOfDay]
-		if m.ipCacheKey[slot] != key || m.ipCacheEpoch[slot] != epoch {
-			m.ipCacheSI[slot] = m.scores(*st)
-			m.ipCacheKey[slot] = key
-			m.ipCacheEpoch[slot] = epoch
-		}
-		out[i] = dot(w, m.ipCacheSI[slot])
+		out[i] = dot(m.W, *m.gathered(stamps[i]))
 	}
 }
 
-// IPAt is shorthand for IP at an absolute hour.
-func (m *Model) IPAt(h simtime.Hour) float64 { return m.IP(simtime.Decompose(h)) }
+// IPAt is IP at an absolute hour, served like IPProfileInto from the
+// scores cache. It is the one per-VM IP memo: the runtime's grace-time
+// probabilities and the policies' VM, host and IP-range reads all
+// arrive here.
+func (m *Model) IPAt(h simtime.Hour) float64 {
+	return dot(m.W, *m.gathered(simtime.Decompose(h)))
+}
+
+// gathered returns st's four SI scores from the scores cache, filling
+// the slot on a miss. The cache holds gathers, not IPs: callers take
+// the weighted dot product against the live weights, so a served IP is
+// bit-identical to IP(st). observe retires stale gathers by epoch and
+// decoding clears the cache; the exported SI fields bypass both, so a
+// direct write after a read is served stale.
+func (m *Model) gathered(st simtime.Stamp) *[NumScales]float64 {
+	key := ipCacheKeyOf(st)
+	slot := key & (ipCacheSlots - 1)
+	epoch := m.hodEpoch[st.HourOfDay]
+	if m.ipCacheKey[slot] != key || m.ipCacheEpoch[slot] != epoch {
+		m.ipCacheSI[slot] = m.scores(st)
+		m.ipCacheKey[slot] = key
+		m.ipCacheEpoch[slot] = epoch
+	}
+	return &m.ipCacheSI[slot]
+}
 
 // Probability maps the IP onto [0, 1]: the form the paper quotes as a
 // percentage ("its IP is higher than 50 %").

@@ -44,11 +44,9 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 	}
 	for _, v := range r.cluster.VMs() {
 		vs := checkpoint.VMState{ID: int32(v.ID), Migrations: int32(v.Migrations())}
-		if h := v.Host(); h != nil {
-			if at, ok := r.rts[h.ID].timerAt[v.ID]; ok {
-				vs.HasTimer = true
-				vs.TimerAt = int64(at)
-			}
+		if vr := r.vms[v.Slot()]; vr.hasTimer {
+			vs.HasTimer = true
+			vs.TimerAt = int64(vr.timerAt)
 		}
 		data, err := v.Model.MarshalBinary()
 		if err != nil {
@@ -57,8 +55,8 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 		vs.Model = data
 		st.VMs = append(st.VMs, vs)
 	}
-	for _, h := range r.cluster.Hosts() {
-		rt := r.rts[h.ID]
+	for i, h := range r.cluster.Hosts() {
+		rt := r.hosts[i]
 		ms := rt.machine.CheckpointState()
 		mon := rt.monitor.CheckpointState()
 		hs := checkpoint.HostState{
@@ -214,7 +212,7 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		if int(hs.ID) != h.ID {
 			return nil, fmt.Errorf("dcsim: checkpoint host %d at index %d, cluster has host %d", hs.ID, i, h.ID)
 		}
-		rt := r.rts[h.ID]
+		rt := r.hosts[i]
 		// Re-place residents in serialized host-local order: utilization
 		// sums and probability means iterate residency order, so it must
 		// be reproduced, not merely made set-equal.
@@ -231,12 +229,13 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 			// current host. Only timers still pending in the OS heap are
 			// re-queued: the runtime's last PopExpired ran at the previous
 			// boundary, so anything at or before it was already popped
-			// (but stays in the runtime map, which refreshes stale dates).
+			// (but stays in the runtime's entry, which refreshes stale
+			// dates).
 			if vs := vsOf[int(id)]; vs.HasTimer {
-				at := simtime.Time(vs.TimerAt)
-				rt.timerAt[int(id)] = at
-				if at > prevStart {
-					rt.os.RegisterTimer(rt.procOf[int(id)], at)
+				vr := &r.vms[v.Slot()]
+				vr.timerAt, vr.hasTimer = simtime.Time(vs.TimerAt), true
+				if vr.timerAt > prevStart {
+					rt.os.RegisterTimer(vr.pid, vr.timerAt)
 				}
 			}
 		}
@@ -263,23 +262,15 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		})
 		rt.resumedAt = simtime.Time(hs.ResumedAt)
 		switch power.State(hs.PState) {
-		case power.StateActive:
-			// Columns default to awake.
+		case power.StateActive, power.StateOff:
 		case power.StateSuspended:
-			r.cols.SetHostAwake(rt.cidx, false)
 			// Re-register the sleeper with its waking module: the switch's
 			// VM→MAC mappings always reflect residency at suspension (a
 			// migration endpoint is woken first), so current residency is
 			// exact; a pending waking date re-queues the ahead-of-time WoL
 			// at its original fire instant (still in the future — it would
 			// have fired before the boundary otherwise).
-			vms := make([]netsim.VMID, 0, h.NumVMs())
-			for _, v := range h.VMs() {
-				vms = append(vms, netsim.VMID(v.ID))
-			}
-			rt.sh.wm.HostSuspended(netsim.MAC(h.ID), vms, simtime.Time(hs.WakeAt), hs.HasWake)
-		case power.StateOff:
-			r.cols.SetHostAwake(rt.cidx, false)
+			rt.sh.wm.HostSuspended(netsim.MAC(h.ID), vmAddrs(nil, h), simtime.Time(hs.WakeAt), hs.HasWake)
 		default:
 			return nil, fmt.Errorf("dcsim: host %d checkpointed mid-transition (power state %d)", hs.ID, hs.PState)
 		}

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,22 +248,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// hostRT is the per-host runtime state.
+// hostRT is the per-host runtime state, one per host in Hosts() order.
 type hostRT struct {
 	host    *cluster.Host
 	profile power.Profile
 	machine *power.Machine
 	os      *ossim.OS
 	monitor *suspend.Monitor
-	procOf  map[int]int          // VM ID → PID on this host's OS
-	timerAt map[int]simtime.Time // VM ID → registered hr-timer expiry
 	// sh is the shard owning this host: every engine/waking-module/
 	// latency interaction of the host routes through it, so the host
 	// phases of distinct shards touch disjoint state.
 	sh *shard
-	// cidx is the host's index into the runtime's hot-state columns
-	// (cluster.Columns), assigned in Cluster.Hosts() order.
-	cidx int
 	// packetWoken marks that the current hour's resume was triggered by
 	// an inbound request (so the first request pays the wake latency).
 	packetWoken bool
@@ -275,14 +271,32 @@ type hostRT struct {
 	resumedAt simtime.Time
 }
 
+// vmRT is the runtime's per-VM state, indexed by the slot NewRunner
+// stamps on each VM. A VM lives on one host at a time, so its entry is
+// written only by the shard owning that host or by the serial phases.
+type vmRT struct {
+	// proc is the name of the VM's process on a host OS, built once.
+	proc string
+	// pid is the VM's process on its current host's OS, 0 while the VM
+	// is detached.
+	pid int
+	// timerAt is the VM's registered hr-timer expiry, valid when
+	// hasTimer. An expired date stays until the next refresh replaces
+	// it: checkpoints carry it as is.
+	timerAt  simtime.Time
+	hasTimer bool
+}
+
 // shard is one partition of the fleet: a fixed span of consecutive
 // hosts (and whichever VMs currently reside on them) advancing one hour
 // independently of the other shards. Each shard owns a full vertical
 // slice of the event-driven machinery — engine, waking-module pair,
 // latency collectors, scratch buffers — so the parallel host and
-// observation phases of an hour share no mutable state across shards;
-// the serial reduction at the hour boundary walks shards in index order
-// for a deterministic merge. The partition is bit-identity-safe because
+// observation phases of an hour share no mutable state across shards
+// (the primaries' switches share one VM→MAC table, whose entries are
+// each written by the shard hosting the VM only); the serial reduction
+// at the hour boundary walks shards in index order for a deterministic
+// merge. The partition is bit-identity-safe because
 // every interaction the runtime generates is shard-local: packet and
 // scheduled wakes are self-wakes of the suspended host (the switch's
 // VM→MAC mappings always reflect current residency — management wakes
@@ -303,11 +317,15 @@ type shard struct {
 	wake metrics.WakeStats
 
 	// Reused scratch (each shard advances on one goroutine at a time).
-	actBuf    []float64
-	tlBuf     [][]timeline.Burst
-	awakeBuf  []timeline.Burst
-	wakeBuf   []int
-	delayBuf  []float64
+	actBuf   []float64
+	tlBuf    [][]timeline.Burst
+	awakeBuf []timeline.Burst
+	wakeBuf  []int
+	delayBuf []float64
+	addrBuf  []netsim.VMID
+	// obsModels and obsActs are the hour's observation batch: the host
+	// phase appends each resident VM's model and activity level in host
+	// order, and the observation phase feeds them to the models.
 	obsModels []*core.Model
 	obsActs   []float64
 
@@ -356,29 +374,26 @@ type Runner struct {
 	cluster *cluster.Cluster
 	policy  cluster.Policy
 	shards  []*shard
-	rts     map[int]*hostRT // host ID → runtime
+	// hosts is indexed by host position (Host.Pos); byMAC by host ID,
+	// the MAC the waking modules and the loss model address a host by.
+	hosts []*hostRT
+	byMAC []*hostRT
 	// net is the lossy WoL delivery model (nil = perfect delivery);
 	// netCfg is its resolved configuration. The per-MAC attempt serials
-	// inside are written only by the owning host's shard, like the hot
-	// columns.
+	// inside are written only by the owning host's shard.
 	net    *netsim.LossModel
 	netCfg netsim.Config
-	// cols holds the per-VM/per-host hot state as struct-of-arrays
-	// columns: hourly activity (written by the host phase, read by the
-	// observation phase), the keyed IP memo, and the host awake flags
-	// mirroring the power-state machines.
-	cols *cluster.Columns
 	// observe is whether anything in the run reads the idleness models:
 	// the policy (unless it is cluster.IdlenessBlind) or the grace time.
-	// A run that reads none skips the observation phase and the activity
-	// column that feeds it.
+	// A run that reads none skips the observation phase and the batch
+	// that feeds it.
 	observe bool
-	// slotOf maps a VM ID to its column slot (allVMs order; slots are
-	// never reused after departure).
-	slotOf map[int]int
 	// allVMs fixes the reporting order: the cluster's initial VMs
-	// followed by the scheduled arrivals.
+	// followed by the scheduled arrivals. A VM's slot is its index here
+	// (slots are never reused after departure), and vms is indexed by
+	// slot.
 	allVMs  []*cluster.VM
+	vms     []vmRT
 	pending []Arrival
 	departs []Departure
 
@@ -440,8 +455,6 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		cluster: c,
 		policy:  policy,
 		observe: cfg.UseGrace || !blind,
-		rts:     make(map[int]*hostRT),
-		slotOf:  make(map[int]int, colocN),
 		coloc:   metrics.NewColocation(colocN),
 	}
 	r.allVMs = append(r.allVMs, c.VMs()...)
@@ -461,23 +474,31 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		}
 		r.departs = append(r.departs, d)
 	}
+	ids := make([]int, len(r.allVMs))
+	r.vms = make([]vmRT, len(r.allVMs))
 	for i, v := range r.allVMs {
-		if _, dup := r.slotOf[v.ID]; dup {
-			panic(fmt.Sprintf("dcsim: duplicate VM ID %d", v.ID))
-		}
-		r.slotOf[v.ID] = i
+		v.SetSlot(i)
+		ids[i] = v.ID
+		r.vms[i].proc = "qemu-" + v.Name
 	}
-	r.cols = cluster.NewColumns(len(r.allVMs), len(c.Hosts()))
+	sort.Ints(ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			panic(fmt.Sprintf("dcsim: duplicate VM ID %d", ids[i]))
+		}
+	}
+	maxID := 0
+	for _, h := range c.Hosts() {
+		if h.ID < 0 {
+			panic(fmt.Sprintf("dcsim: host %q has negative ID %d", h.Name, h.ID))
+		}
+		maxID = max(maxID, h.ID)
+	}
+	r.byMAC = make([]*hostRT, maxID+1)
 	if cfg.Network != nil {
 		nc := cfg.Network.WithDefaults()
 		if err := nc.Validate(); err != nil {
 			panic(fmt.Sprintf("dcsim: network config: %v", err))
-		}
-		maxID := 0
-		for _, h := range c.Hosts() {
-			if h.ID > maxID {
-				maxID = h.ID
-			}
 		}
 		subnetOf := make([]int, maxID+1)
 		for _, h := range c.Hosts() {
@@ -510,6 +531,10 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	if numShards == 0 {
 		numShards = 1
 	}
+	// The primaries' switches share one VM→MAC table, sized so no write
+	// grows it: each VM's entry is written by the shard hosting it only.
+	// A mirror's switch maps hosts only on takeover, into its own table.
+	vmTable := netsim.NewTable(len(r.allVMs))
 	for s := 0; s < numShards; s++ {
 		sh := &shard{
 			idx:         s,
@@ -520,8 +545,8 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		if start > 0 {
 			sh.engine.RunUntil(start)
 		}
-		sh.wm = waking.New(fmt.Sprintf("rack%d", s), sh.engine, lead, r.onWoL)
-		sh.mirror = waking.New(fmt.Sprintf("rack%d-mirror", s), sh.engine, lead, r.onWoL)
+		sh.wm = waking.New(fmt.Sprintf("rack%d", s), sh.engine, lead, r.onWoL, vmTable)
+		sh.mirror = waking.New(fmt.Sprintf("rack%d-mirror", s), sh.engine, lead, r.onWoL, netsim.NewTable(0))
 		if r.net != nil {
 			sh.wm.SetDelivery(r.net, r.onLossyWoL)
 			sh.mirror.SetDelivery(r.net, r.onLossyWoL)
@@ -548,16 +573,16 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 				DecisionOverhead: 1 * simtime.Second,
 				MaxGrace:         simtime.Duration(math.Round(cfg.MaxGraceSeconds)),
 			}, os),
-			procOf:  make(map[int]int),
-			timerAt: make(map[int]simtime.Time),
-			sh:      sh,
-			cidx:    i,
+			sh: sh,
 		}
 		rt.monitor.OnResume(start, 0.5)
 		rt.resumedAt = start
-		r.cols.SetHostAwake(i, true) // machines start active
 		sh.hosts = append(sh.hosts, rt)
-		r.rts[h.ID] = rt
+		r.hosts = append(r.hosts, rt)
+		if r.byMAC[h.ID] != nil {
+			panic(fmt.Sprintf("dcsim: duplicate host ID %d", h.ID))
+		}
+		r.byMAC[h.ID] = rt
 	}
 	return r
 }
@@ -570,12 +595,9 @@ func (r *Runner) WakingModule() *waking.Module { return r.shards[0].wm }
 // WoLs are generated by the host's own shard (packet and scheduled
 // wakes are self-wakes) or by the serial management phases, so the
 // state it touches — the host, its shard's engine clock and waking
-// module, the host's column slots — is never contended.
+// module, its residents' entries — is never contended.
 func (r *Runner) onWoL(mac netsim.MAC) {
-	rt, ok := r.rts[int(mac)]
-	if !ok {
-		return
-	}
+	rt := r.byMAC[mac]
 	if rt.machine.State() != power.StateSuspended && rt.machine.State() != power.StateOff {
 		return // already awake or mid-transition; duplicate WoL
 	}
@@ -593,10 +615,7 @@ func (r *Runner) onWoL(mac netsim.MAC) {
 // the silence itself claws back the suspension credit at the peak-vs-
 // suspended differential.
 func (r *Runner) onLossyWoL(mac netsim.MAC, out netsim.WakeOutcome) {
-	rt, ok := r.rts[int(mac)]
-	if !ok {
-		return
-	}
+	rt := r.byMAC[mac]
 	if rt.machine.State() != power.StateSuspended && rt.machine.State() != power.StateOff {
 		return // duplicate WoL of an awake host: nothing waits on it
 	}
@@ -644,41 +663,16 @@ func (r *Runner) resumeHost(rt *hostRT, delay float64) {
 	rt.machine.Transition(now, power.StateResuming)
 	rt.machine.Transition(now+rt.profile.ResumeLatency, power.StateActive)
 	rt.resumedAt = simtime.Time(math.Ceil(now + rt.profile.ResumeLatency))
-	r.cols.SetHostAwake(rt.cidx, true)
 	// The probability only sizes the grace time; without grace the
-	// monitor ignores it, and no model is read.
+	// monitor ignores it, and no model is read. The residents' IPs come
+	// from their models' scores caches (core.Model.IPAt), written here
+	// only by the host's own shard.
 	p := 0.0
 	if r.cfg.UseGrace {
-		p = r.hostProbability(rt, simtime.HourOf(simtime.Time(now)))
+		p = rt.host.Probability(simtime.HourOf(simtime.Time(now)))
 	}
 	rt.monitor.OnResume(rt.resumedAt, p)
 	sh.wm.HostResumed(netsim.MAC(rt.host.ID))
-}
-
-// hostProbability computes the host's normalized idleness probability
-// for hour hr — cluster.Host.Probability bit for bit: the mean of the
-// resident VMs' IPs in residency order, mapped onto [0, 1]. Per-VM IPs
-// are served from the columns' keyed memo; the key pairs the hour with
-// the observation epoch (bumped after every observe phase), so a hit
-// is guaranteed to be the value IPAt would compute against the models'
-// current state.
-func (r *Runner) hostProbability(rt *hostRT, hr simtime.Hour) float64 {
-	vms := rt.host.VMs()
-	if len(vms) == 0 {
-		return 0.5 // empty host: IP 0 (undetermined)
-	}
-	key := r.cols.IPMemoKey(hr)
-	sum := 0.0
-	for _, v := range vms {
-		slot := r.slotOf[v.ID]
-		ip, ok := r.cols.IPMemo(slot, key)
-		if !ok {
-			ip = v.Model.IPAt(hr)
-			r.cols.StoreIPMemo(slot, key, ip)
-		}
-		sum += ip
-	}
-	return (sum/float64(len(vms)) + 1) / 2
 }
 
 // Run executes the configured number of hours and returns the results.
@@ -691,7 +685,7 @@ func (r *Runner) Run() *Result {
 		// restored runner skips it: placements came from the checkpoint.
 		for _, v := range c.VMs() {
 			if v.Host() != nil {
-				r.attach(v, r.rts[v.Host().ID])
+				r.attach(v, r.hosts[v.Host().Pos()])
 			}
 		}
 		for _, v := range c.VMs() {
@@ -703,7 +697,7 @@ func (r *Runner) Run() *Result {
 				if err := c.Place(v, h); err != nil {
 					panic(err)
 				}
-				r.attach(v, r.rts[h.ID])
+				r.attach(v, r.hosts[h.Pos()])
 			}
 		}
 	}
@@ -759,8 +753,8 @@ func (r *Runner) Run() *Result {
 			if err := c.Place(a.VM, h); err != nil {
 				panic(err)
 			}
-			r.wakeForManagement(r.rts[h.ID])
-			r.attach(a.VM, r.rts[h.ID])
+			r.wakeForManagement(r.hosts[h.Pos()])
+			r.attach(a.VM, r.hosts[h.Pos()])
 		}
 		r.pending = rest
 
@@ -772,7 +766,7 @@ func (r *Runner) Run() *Result {
 				continue
 			}
 			if h := d.VM.Host(); h != nil {
-				r.detach(d.VM, r.rts[h.ID])
+				r.detach(d.VM, r.hosts[h.Pos()])
 			}
 			c.Remove(d.VM)
 		}
@@ -795,11 +789,13 @@ func (r *Runner) Run() *Result {
 		// Parallel host phase: each shard plays the hour on its hosts in
 		// global order. Shards share no mutable state here — wakes are
 		// self-wakes on the shard's own engine and waking module, latency
-		// lands in shard-local collectors, and the activity columns are
-		// written at disjoint slots (a VM's slot belongs to its current
-		// host's shard; placement only changes in the serial phases).
+		// lands in shard-local collectors, and per-VM entries and models
+		// are touched only by the shard owning the VM's current host
+		// (placement only changes in the serial phases).
 		r.parFor(len(r.shards), func(s int) {
 			sh := r.shards[s]
+			sh.obsModels = sh.obsModels[:0]
+			sh.obsActs = sh.obsActs[:0]
 			for _, rt := range sh.hosts {
 				r.playHour(rt, hr, t0)
 			}
@@ -810,7 +806,7 @@ func (r *Runner) Run() *Result {
 		}
 
 		// Parallel observation phase, in runs that read the models: feed
-		// them from the activity column, one batched pass per shard
+		// each shard's batch, gathered by the host phase, in one pass
 		// (host-major, so a model is touched by exactly one shard).
 		// Models are mutually independent, so the host-major order
 		// observes the same bits the serial VM-order loop would. The
@@ -819,14 +815,6 @@ func (r *Runner) Run() *Result {
 			st := hr.Stamp()
 			r.parFor(len(r.shards), func(s int) {
 				sh := r.shards[s]
-				sh.obsModels = sh.obsModels[:0]
-				sh.obsActs = sh.obsActs[:0]
-				for _, rt := range sh.hosts {
-					for _, v := range rt.host.VMs() {
-						sh.obsModels = append(sh.obsModels, v.Model)
-						sh.obsActs = append(sh.obsActs, r.cols.Activity(r.slotOf[v.ID]))
-					}
-				}
 				core.ObserveColumn(st, sh.obsModels, sh.obsActs)
 			})
 		}
@@ -834,10 +822,8 @@ func (r *Runner) Run() *Result {
 			r.phaseNanos[2] = int64(time.Since(tPhase))
 			tPhase = time.Now()
 		}
-		// Serial reduction: the models advanced an epoch, retiring every
-		// memoized IP; then the hourly recorders and heartbeats run in
+		// Serial reduction: the hourly recorders and heartbeats run in
 		// deterministic order.
-		r.cols.AdvanceIPEpoch()
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
 			rec.RecordHour(c, hr)
 		}
@@ -858,7 +844,7 @@ func (r *Runner) Run() *Result {
 	if r.cfg.Probe != nil && r.cfg.Hours > 0 {
 		r.probeHour(r.cfg.Hours-1, r.cfg.StartHour+simtime.Hour(r.cfg.Hours-1))
 	}
-	for _, rt := range r.rts {
+	for _, rt := range r.hosts {
 		rt.machine.Finish(float64(end))
 	}
 	return r.collect()
@@ -921,16 +907,15 @@ func (r *Runner) assignmentsAll() []int {
 
 // attach creates the VM's process on a host OS.
 func (r *Runner) attach(v *cluster.VM, rt *hostRT) {
-	pid := rt.os.Spawn("qemu-"+v.Name, ossim.StateSleeping)
-	rt.procOf[v.ID] = pid
+	vr := &r.vms[v.Slot()]
+	vr.pid = rt.os.Spawn(vr.proc, ossim.StateSleeping)
 }
 
-// detach kills the VM's process on its old host OS.
+// detach kills the VM's process on its old host OS, with its hr-timer.
 func (r *Runner) detach(v *cluster.VM, rt *hostRT) {
-	if pid, ok := rt.procOf[v.ID]; ok {
-		rt.os.Kill(pid)
-		delete(rt.procOf, v.ID)
-		delete(rt.timerAt, v.ID)
+	if vr := &r.vms[v.Slot()]; vr.pid != 0 {
+		rt.os.Kill(vr.pid)
+		vr.pid, vr.hasTimer = 0, false
 	}
 }
 
@@ -963,25 +948,19 @@ func (r *Runner) applyPlacementChanges(before []*cluster.Host) {
 			continue
 		}
 		if prev != nil {
-			r.wakeForManagement(r.rts[prev.ID])
-			r.detach(v, r.rts[prev.ID])
+			r.wakeForManagement(r.hosts[prev.Pos()])
+			r.detach(v, r.hosts[prev.Pos()])
 		}
 		if cur != nil {
-			r.wakeForManagement(r.rts[cur.ID])
-			r.attach(v, r.rts[cur.ID])
+			r.wakeForManagement(r.hosts[cur.Pos()])
+			r.attach(v, r.hosts[cur.Pos()])
 		}
 	}
 }
 
 // wakeForManagement resumes a suspended/off host for a management
 // operation (migration endpoint), without request-latency accounting.
-// The awake column pre-screens the common case — the host is running —
-// without touching the power machine; the state re-check keeps the
-// transient states (suspending/resuming) out, exactly as before.
 func (r *Runner) wakeForManagement(rt *hostRT) {
-	if r.cols.HostAwake(rt.cidx) {
-		return
-	}
 	if s := rt.machine.State(); s == power.StateSuspended || s == power.StateOff {
 		r.onWoL(netsim.MAC(rt.host.ID))
 	}
@@ -989,7 +968,7 @@ func (r *Runner) wakeForManagement(rt *hostRT) {
 
 // playHour simulates one host for one hour starting at t0. It runs on
 // the host's shard (possibly concurrently with other shards' hosts)
-// and touches only shard-owned state plus the host's own column slots.
+// and touches only shard-owned state plus its residents' entries.
 func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	h := rt.host
 	sh := rt.sh
@@ -1008,7 +987,6 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		switch rt.machine.State() {
 		case power.StateActive:
 			rt.machine.Transition(from, power.StateOff)
-			r.cols.SetHostAwake(rt.cidx, false)
 		case power.StateSuspended:
 			rt.machine.Transition(from, power.StateOff)
 			sh.wm.HostResumed(netsim.MAC(h.ID)) // clear stale mappings
@@ -1020,8 +998,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	// below consult this hour's levels): any VM above the noise floor
 	// pins the host awake for the whole hour. The utilization sum
 	// accumulates in h.VMs() order, exactly as Host.Utilization does.
-	// In runs that observe, levels land in the activity column for the
-	// observation phase to sweep.
+	// In runs that observe, levels join the shard's observation batch.
 	vms := h.VMs()
 	if cap(sh.actBuf) < len(vms) {
 		sh.actBuf = make([]float64, len(vms))
@@ -1033,7 +1010,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		a := v.Activity(hr)
 		acts[i] = a
 		if r.observe {
-			r.cols.SetActivity(r.slotOf[v.ID], a)
+			sh.obsModels = append(sh.obsModels, v.Model)
+			sh.obsActs = append(sh.obsActs, a)
 		}
 		if a >= core.DefaultNoiseFloor {
 			busyHour = true
@@ -1054,7 +1032,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		if !v.TimerDriven {
 			continue
 		}
-		if at, ok := rt.timerAt[v.ID]; ok && at > t0 {
+		vr := &r.vms[v.Slot()]
+		if vr.hasTimer && vr.timerAt > t0 {
 			continue
 		}
 		if next, ok := r.nextActiveHour(v, hr); ok {
@@ -1070,8 +1049,8 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 					at = at.Add(simtime.Duration(bs[0].Start))
 				}
 			}
-			rt.os.RegisterTimer(rt.procOf[v.ID], at)
-			rt.timerAt[v.ID] = at
+			rt.os.RegisterTimer(vr.pid, at)
+			vr.timerAt, vr.hasTimer = at, true
 		}
 	}
 
@@ -1090,7 +1069,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		// wake is woken by the first inbound request.
 		if state == power.StateSuspended || state == power.StateOff {
 			if first != nil && !first.TimerDriven {
-				sh.wm.PacketArrived(netsim.Packet{Dst: netsim.VMID(first.ID)})
+				sh.wm.PacketArrived(netsim.Packet{Dst: netsim.VMID(first.Slot())})
 			}
 			// The packet may have hit a stale mapping (the switch only
 			// updates VM→MAC on suspension) or the VM is timer-driven
@@ -1168,13 +1147,19 @@ func (r *Runner) maybeSuspendUntil(rt *hostRT, from, limit simtime.Time) {
 	}
 	rt.machine.Transition(float64(suspendAt), power.StateSuspending)
 	rt.machine.Transition(done, power.StateSuspended)
-	r.cols.SetHostAwake(rt.cidx, false)
 	rt.monitor.OnSuspend()
-	vms := make([]netsim.VMID, 0, rt.host.NumVMs())
-	for _, v := range rt.host.VMs() {
-		vms = append(vms, netsim.VMID(v.ID))
+	// The switch copies the address list, so a reused shard buffer serves.
+	sh := rt.sh
+	sh.addrBuf = vmAddrs(sh.addrBuf[:0], rt.host)
+	sh.wm.HostSuspended(netsim.MAC(rt.host.ID), sh.addrBuf, d.WakeAt, d.HasWake)
+}
+
+// vmAddrs appends the switch addresses (slots) of h's residents to dst.
+func vmAddrs(dst []netsim.VMID, h *cluster.Host) []netsim.VMID {
+	for _, v := range h.VMs() {
+		dst = append(dst, netsim.VMID(v.Slot()))
 	}
-	rt.sh.wm.HostSuspended(netsim.MAC(rt.host.ID), vms, d.WakeAt, d.HasWake)
+	return dst
 }
 
 // playHourEvents simulates one busy hour of a host at event
@@ -1267,7 +1252,7 @@ func (r *Runner) playHourEvents(rt *hostRT, hr simtime.Hour, t0 simtime.Time, vm
 			fi := firstBurstIdx(vms, acts, hr, awake[k].Start)
 			rt.lastWakeDelay = 0
 			if fi >= 0 {
-				sh.wm.PacketArrived(netsim.Packet{Dst: netsim.VMID(vms[fi].ID)})
+				sh.wm.PacketArrived(netsim.Packet{Dst: netsim.VMID(vms[fi].Slot())})
 			}
 			if st := rt.machine.State(); st == power.StateSuspended || st == power.StateOff {
 				r.onWoL(netsim.MAC(rt.host.ID))
@@ -1332,7 +1317,7 @@ func (r *Runner) fireDueScheduledWake(rt *hostRT, limit simtime.Time) {
 func (r *Runner) setEventProcs(rt *hostRT, vms []*cluster.VM, acts []float64, st ossim.ProcState) {
 	for i, v := range vms {
 		if acts[i] >= core.DefaultNoiseFloor {
-			rt.os.SetState(rt.procOf[v.ID], st)
+			rt.os.SetState(r.vms[v.Slot()].pid, st)
 		}
 	}
 }
@@ -1507,8 +1492,7 @@ func (r *Runner) collect() *Result {
 		res.PerVMMigrations = append(res.PerVMMigrations, v.Migrations())
 	}
 	var suspSum float64
-	for _, h := range c.Hosts() {
-		rt := r.rts[h.ID]
+	for _, rt := range r.hosts {
 		res.HostEnergyKWh = append(res.HostEnergyKWh, rt.machine.KWh())
 		res.EnergyKWh += rt.machine.KWh()
 		f := rt.machine.SuspendedFraction()

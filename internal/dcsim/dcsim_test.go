@@ -261,6 +261,44 @@ func TestRunnerValidation(t *testing.T) {
 	}()
 }
 
+// TestNewRunnerRejectsDuplicateIDs: VM IDs are the tie-break of every
+// placement and wake decision, and host IDs are the MACs wakes are
+// addressed to, so two VMs or two hosts sharing one must be refused —
+// a duplicate VM whether registered up front or arriving mid-run.
+func TestNewRunnerRejectsDuplicateIDs(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *cluster.Cluster, cfg *Config)
+		want string
+	}{
+		{"vm", func(c *cluster.Cluster, _ *Config) {
+			c.AddVM(cluster.NewVM(2, "dup", cluster.KindLLMI, 2, 1, trace.RealTrace(1)))
+		}, "dcsim: duplicate VM ID 2"},
+		{"arriving vm", func(_ *cluster.Cluster, cfg *Config) {
+			cfg.Arrivals = []Arrival{{At: 3, VM: cluster.NewVM(2, "dup", cluster.KindLLMI, 2, 1, trace.RealTrace(1))}}
+		}, "dcsim: duplicate VM ID 2"},
+		{"host", func(c *cluster.Cluster, _ *Config) {
+			c.AddHost(cluster.NewHost(1, "dup", 16, 4, 2))
+		}, "dcsim: duplicate host ID 1"},
+		{"negative host", func(c *cluster.Cluster, _ *Config) {
+			c.AddHost(cluster.NewHost(-1, "neg", 16, 4, 2))
+		}, `dcsim: host "neg" has negative ID -1`},
+	}
+	for _, tc := range cases {
+		c := shardedFleet(4)
+		cfg := Config{Hours: 24}
+		tc.edit(c, &cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); msg != tc.want {
+					t.Errorf("%s: panic %q, want %q", tc.name, msg, tc.want)
+				}
+			}()
+			NewRunner(cfg, c, neat.New(neat.Options{}))
+		}()
+	}
+}
+
 func TestStartHourOffset(t *testing.T) {
 	c := testbed()
 	r := NewRunner(Config{Hours: 24, StartHour: simtime.Date(1, 3, 10, 0), EnableSuspend: true, UseGrace: true},

@@ -7,7 +7,7 @@ import (
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/drowsy"
-	"drowsydc/internal/power"
+	"drowsydc/internal/netsim"
 	"drowsydc/internal/trace"
 )
 
@@ -145,27 +145,6 @@ func TestCrossShardChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestColumnsMirrorMachineState: the awake hot column is a cache of the
-// per-host power state machines; after a suspend-heavy multi-shard run
-// every flag must agree with the authoritative state.
-func TestColumnsMirrorMachineState(t *testing.T) {
-	c := shardedFleet(16)
-	r := NewRunner(Config{
-		Hours: 5 * 24, EnableSuspend: true, UseGrace: true,
-		ShardWorkers: 4, ShardHostSpan: 3,
-	}, c, drowsy.New(drowsy.Options{FullRelocation: true}))
-	res := r.Run()
-	if res.GlobalSuspFrac <= 0 {
-		t.Fatal("fleet never suspended; test exercises nothing")
-	}
-	for _, rt := range r.rts {
-		st := rt.machine.State()
-		if got, want := r.cols.HostAwake(rt.cidx), st == power.StateActive; got != want {
-			t.Errorf("host %d: awake column %v, machine state %v", rt.host.ID, got, st)
-		}
-	}
-}
-
 // TestAssignmentsAllReusesBuffer pins the per-hour colocation snapshot
 // to its pooled buffer: after the first call, taking an assignment
 // snapshot must not allocate. (The pooling itself landed with the
@@ -196,5 +175,29 @@ func TestShardWorkerValidation(t *testing.T) {
 			}()
 			NewRunner(cfg, shardedFleet(2), drowsy.New(drowsy.Options{}))
 		}()
+	}
+}
+
+// TestShardsShareVMTable pins the sharded runtime's memory layout: the
+// shards' primary switches share one VM→MAC table sized to the slot
+// count, so a VM mapped by its host's shard resolves through every
+// primary, while a mirror's switch keeps a table of its own. A table per
+// shard would grow memory with shards × fleet.
+func TestShardsShareVMTable(t *testing.T) {
+	c := shardedFleet(8)
+	r := NewRunner(Config{Hours: 1, EnableSuspend: true, ShardHostSpan: 2}, c, drowsy.New(drowsy.Options{}))
+	if len(r.shards) != 4 {
+		t.Fatalf("shards = %d, want 4", len(r.shards))
+	}
+	h := c.Hosts()[5]
+	v := netsim.VMID(h.VMs()[0].Slot())
+	r.hosts[h.Pos()].sh.wm.HostSuspended(netsim.MAC(h.ID), []netsim.VMID{v}, 0, false)
+	for i, sh := range r.shards {
+		if mac, ok := sh.wm.Switch().Lookup(v); !ok || mac != netsim.MAC(h.ID) {
+			t.Fatalf("shard %d primary: Lookup(%d) = %d,%v; want %d,true", i, v, mac, ok, h.ID)
+		}
+		if _, ok := sh.mirror.Switch().Lookup(v); ok {
+			t.Fatalf("shard %d mirror resolves VM %d before any takeover", i, v)
+		}
 	}
 }

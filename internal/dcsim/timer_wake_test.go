@@ -57,7 +57,7 @@ func TestEventTimerRegisteredAtFirstBurst(t *testing.T) {
 		t.Fatal("picked VM's first burst starts at the boundary; vacuous")
 	}
 	want := wakeHour.Start().Add(simtime.Duration(burstStart))
-	if got := r.rts[0].timerAt[v.ID]; got != want {
+	if got := r.vms[v.Slot()].timerAt; got != want {
 		t.Fatalf("event-mode hr-timer at t=%d, want first burst t=%d (hour start t=%d)",
 			got, want, wakeHour.Start())
 	}
@@ -67,7 +67,7 @@ func TestEventTimerRegisteredAtFirstBurst(t *testing.T) {
 	r2 := NewRunner(Config{StartHour: 3, Hours: 20, EnableSuspend: true, UseGrace: true},
 		c2, neat.New(neat.Options{Underload: 1e-9}))
 	_ = r2.Run()
-	if got := r2.rts[0].timerAt[v2.ID]; got != wakeHour.Start() {
+	if got := r2.vms[v2.Slot()].timerAt; got != wakeHour.Start() {
 		t.Fatalf("hourly hr-timer at t=%d, want hour start t=%d", got, wakeHour.Start())
 	}
 }

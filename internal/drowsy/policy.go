@@ -108,7 +108,6 @@ type Policy struct {
 		curJ        []int32
 		state       []hostBuild
 		means       [][ProfileHours]float64
-		hostIdx     map[*cluster.Host]int
 		sums        [][ProfileHours]float64
 		counts      []int
 		costMeans   [][ProfileHours]float64
@@ -237,21 +236,28 @@ func (p *Policy) relieveOverloaded(x *hostIndex) {
 // applies.
 func (p *Policy) selectionOrder(h *cluster.Host, hr simtime.Hour) []*cluster.VM {
 	hip := h.IP(hr)
-	vms := append([]*cluster.VM(nil), h.VMs()...)
-	dist := make(map[int]float64, len(vms))
-	for _, v := range vms {
-		dist[v.ID] = math.Abs(p.vmIP(v, hr) - hip)
+	type evictCand struct {
+		vm   *cluster.VM
+		dist float64
 	}
-	sort.SliceStable(vms, func(i, j int) bool {
-		di, dj := dist[vms[i].ID], dist[vms[j].ID]
-		if math.Abs(di-dj) > DistanceTolerance {
-			return di > dj
+	cands := make([]evictCand, h.NumVMs())
+	for i, v := range h.VMs() {
+		cands[i] = evictCand{v, math.Abs(p.vmIP(v, hr) - hip)}
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if math.Abs(a.dist-b.dist) > DistanceTolerance {
+			return a.dist > b.dist
 		}
-		if vms[i].MemGB != vms[j].MemGB {
-			return vms[i].MemGB < vms[j].MemGB
+		if a.vm.MemGB != b.vm.MemGB {
+			return a.vm.MemGB < b.vm.MemGB
 		}
-		return vms[i].ID < vms[j].ID
+		return a.vm.ID < b.vm.ID
 	})
+	vms := make([]*cluster.VM, len(cands))
+	for i, c := range cands {
+		vms[i] = c.vm
+	}
 	return vms
 }
 
@@ -561,18 +567,10 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 		return
 	}
 	if !forced {
-		if p.scratch.hostIdx == nil {
-			p.scratch.hostIdx = make(map[*cluster.Host]int, len(hosts))
-		}
-		hostIdx := p.scratch.hostIdx
-		clear(hostIdx)
-		for i, h := range hosts {
-			hostIdx[h] = i
-		}
 		curJ := p.scratch.curJ[:n]
 		for i, v := range orig {
 			if h := v.Host(); h != nil {
-				curJ[i] = int32(hostIdx[h])
+				curJ[i] = int32(h.Pos())
 			} else {
 				curJ[i] = -1
 			}

@@ -5,9 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // ---------------------------------------------------------------------------
@@ -286,14 +287,15 @@ func (c *Colocation) N() int { return c.n }
 //
 // The simulated request population is highly degenerate: every request
 // of an hour shares the base service time except the wake-delayed first
-// one, so the stats store the multiset run-length encoded (distinct
-// value → occurrence count) instead of keeping a per-request slice.
-// Count, SLAFraction, Max and Quantile are exact — identical to what a
-// flat sample slice would report — while memory stays proportional to
-// the handful of distinct latencies rather than to request volume.
+// one, so the stats store the multiset run-length encoded — a slice of
+// (distinct value, occurrence count) runs sorted by value — instead of
+// keeping a per-request slice. Count, SLAFraction, Max and Quantile are
+// exact — identical to what a flat sample slice would report — while
+// memory stays proportional to the handful of distinct latencies rather
+// than to request volume.
 type LatencyStats struct {
 	slaSeconds float64
-	counts     map[float64]int64
+	runs       []LatencySample
 	total      int64
 	withinSLA  int64
 	max        float64
@@ -302,7 +304,7 @@ type LatencyStats struct {
 // NewLatencyStats creates a collector with the given SLA target in
 // seconds (the paper's CloudSuite web-search SLA is 200 ms).
 func NewLatencyStats(slaSeconds float64) *LatencyStats {
-	return &LatencyStats{slaSeconds: slaSeconds, counts: make(map[float64]int64)}
+	return &LatencyStats{slaSeconds: slaSeconds}
 }
 
 // Record adds one request's response time in seconds.
@@ -319,7 +321,7 @@ func (l *LatencyStats) RecordN(seconds float64, n int) {
 	if seconds < 0 || math.IsNaN(seconds) {
 		panic(fmt.Sprintf("metrics: invalid latency %v", seconds))
 	}
-	l.counts[seconds] += int64(n)
+	l.add(seconds, int64(n))
 	l.total += int64(n)
 	if seconds <= l.slaSeconds {
 		l.withinSLA += int64(n)
@@ -327,6 +329,19 @@ func (l *LatencyStats) RecordN(seconds float64, n int) {
 	if seconds > l.max {
 		l.max = seconds
 	}
+}
+
+// add counts n occurrences of v into its run, inserting the run in
+// value order when v is new.
+func (l *LatencyStats) add(v float64, n int64) {
+	i, found := slices.BinarySearchFunc(l.runs, v, func(r LatencySample, v float64) int {
+		return cmp.Compare(r.Seconds, v)
+	})
+	if found {
+		l.runs[i].Count += n
+		return
+	}
+	l.runs = slices.Insert(l.runs, i, LatencySample{Seconds: v, Count: n})
 }
 
 // Merge accumulates another collector's samples into l — the shard
@@ -343,8 +358,8 @@ func (l *LatencyStats) Merge(o *LatencyStats) {
 		panic(fmt.Sprintf("metrics: merging latency stats with SLA %v into %v",
 			o.slaSeconds, l.slaSeconds))
 	}
-	for v, n := range o.counts {
-		l.counts[v] += n
+	for _, r := range o.runs {
+		l.add(r.Seconds, r.Count)
 	}
 	l.total += o.total
 	l.withinSLA += o.withinSLA
@@ -378,20 +393,15 @@ func (l *LatencyStats) Quantile(q float64) float64 {
 	if l.total == 0 {
 		return 0
 	}
-	values := make([]float64, 0, len(l.counts))
-	for v := range l.counts {
-		values = append(values, v)
-	}
-	sort.Float64s(values)
 	rank := int64(q * float64(l.total-1))
 	var cum int64
-	for _, v := range values {
-		cum += l.counts[v]
+	for _, r := range l.runs {
+		cum += r.Count
 		if rank < cum {
-			return v
+			return r.Seconds
 		}
 	}
-	return values[len(values)-1]
+	return l.runs[len(l.runs)-1].Seconds
 }
 
 // LatencySample is one run-length-encoded latency value, for checkpoint
@@ -401,19 +411,14 @@ type LatencySample struct {
 	Count   int64
 }
 
-// Export returns the collector's multiset as run-length-encoded samples
-// sorted by latency value — a deterministic encoding of map state, for
-// run checkpoints. Replaying the samples through RecordN on a fresh
-// collector with the same SLA target reconstructs every aggregate
-// (total, withinSLA, max) exactly, because all of them are
-// order-independent functions of the multiset.
+// Export returns a copy of the collector's multiset as run-length-
+// encoded samples sorted by latency value, for run checkpoints.
+// Replaying the samples through RecordN on a fresh collector with the
+// same SLA target reconstructs every aggregate (total, withinSLA, max)
+// exactly, because all of them are order-independent functions of the
+// multiset.
 func (l *LatencyStats) Export() []LatencySample {
-	out := make([]LatencySample, 0, len(l.counts))
-	for v, n := range l.counts {
-		out = append(out, LatencySample{Seconds: v, Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seconds < out[j].Seconds })
-	return out
+	return append(make([]LatencySample, 0, len(l.runs)), l.runs...)
 }
 
 // SLASeconds returns the collector's SLA target.

@@ -212,6 +212,29 @@ func TestLossDeterminism(t *testing.T) {
 	}
 }
 
+// TestLossSerialsRoundTrip: restoring a model's attempt serials into a
+// fresh one continues the same drop schedule, and a serial vector from
+// another fleet size is refused.
+func TestLossSerialsRoundTrip(t *testing.T) {
+	cfg := lossCfg(t, Config{WakeLoss: 0.4, Seed: 7})
+	a := NewLossModel(cfg, nil, 4)
+	for _, mac := range []MAC{0, 2, 2, 3, 0} {
+		a.Resolve(mac)
+	}
+	b := NewLossModel(cfg, nil, 4)
+	if err := b.RestoreSerials(a.Serials()); err != nil {
+		t.Fatal(err)
+	}
+	for _, mac := range []MAC{2, 1, 0, 3, 2} {
+		if ra, rb := a.Resolve(mac), b.Resolve(mac); ra != rb {
+			t.Fatalf("host %d: restored model resolved %+v, original %+v", mac, rb, ra)
+		}
+	}
+	if err := b.RestoreSerials(make([]uint64, 5)); err == nil {
+		t.Fatal("restoring 5 serials into a 4-host model must fail")
+	}
+}
+
 // Drop sets nest as loss grows: with single-attempt configs (which keep
 // per-host serials aligned across loss rates), every transaction
 // delivered at loss p is delivered at every p' < p.

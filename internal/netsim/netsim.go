@@ -5,14 +5,25 @@
 // delivery. The physical testbed keeps the NIC powered in S3 (Intel I350
 // + BMC link in the paper's references); here WoL delivery is a callback
 // into the cluster model.
+//
+// The paper's VM→MAC hashmap is a table indexed by VM address here,
+// with the same O(1) lookups and updates and no hashing: the simulation
+// runtime addresses VMs by the dense slots it stamps on them, and hosts
+// by their IDs. Addresses must be non-negative. The VM table spans the
+// addresses up to the largest one mapped, and the switches of racks
+// holding disjoint VMs share one. A switch's per-host entries span the
+// MACs between the smallest and the largest it has mapped, so a rack's
+// switch holds entries for its own hosts only. Sparse addresses cost
+// memory, never correctness.
 package netsim
 
 import (
 	"fmt"
-	"sort"
+	"iter"
 )
 
-// VMID addresses a VM (the paper keys the hashmap by VM IP address).
+// VMID addresses a VM (the paper keys the hashmap by VM IP address; the
+// simulation runtime uses the VM's dense slot).
 type VMID int
 
 // MAC addresses a host NIC for Wake-on-LAN.
@@ -23,76 +34,158 @@ type Packet struct {
 	Dst VMID
 }
 
-// Switch is the SDN switch's view of suspended placements: a hashmap
+// Table is the VM→MAC hashmap as a slice indexed by VM address: entry
+// vm is 1 + the MAC of the suspended host vm is mapped to, 0 when
+// unmapped. Switches whose racks hold disjoint VMs may share a table.
+// Each entry is then written only by the switch of the rack holding its
+// VM, which is also the switch its packets reach, so a fabric stores one
+// entry per VM rather than one per VM and rack. A write past the end
+// grows the table, so a table shared by switches on different
+// goroutines must be sized by NewTable to cover every address.
+type Table struct {
+	macs []MAC
+}
+
+// NewTable returns a table covering VM addresses [0, n).
+func NewTable(n int) *Table { return &Table{macs: make([]MAC, n)} }
+
+// MACTable holds one entry per host, indexed by MAC. It spans the MACs
+// between the smallest and the largest written, so a switch or waking
+// module serving a rack of consecutive MACs holds that rack's entries
+// only, whatever the MACs' magnitude.
+type MACTable[T any] struct {
+	lo   MAC
+	rows []T
+}
+
+// At returns mac's entry for writing, growing the table to cover it.
+// The pointer is valid until the next call to At.
+func (t *MACTable[T]) At(mac MAC) *T {
+	switch {
+	case len(t.rows) == 0:
+		t.lo = mac
+	case mac < t.lo:
+		n := int(t.lo - mac)
+		t.rows = append(make([]T, n, n+len(t.rows)), t.rows...)
+		t.lo = mac
+	}
+	if i := int(mac - t.lo); i >= len(t.rows) {
+		t.rows = append(t.rows, make([]T, i+1-len(t.rows))...)
+	}
+	return &t.rows[mac-t.lo]
+}
+
+// Get returns mac's entry, or the zero value when the table does not
+// cover mac. It never grows the table.
+func (t *MACTable[T]) Get(mac MAC) T {
+	if mac >= t.lo && int(mac-t.lo) < len(t.rows) {
+		return t.rows[mac-t.lo]
+	}
+	var zero T
+	return zero
+}
+
+// All yields every covered MAC and its entry, in ascending MAC order.
+func (t *MACTable[T]) All() iter.Seq2[MAC, *T] {
+	return func(yield func(MAC, *T) bool) {
+		for i := range t.rows {
+			if !yield(t.lo+MAC(i), &t.rows[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Switch is the SDN switch's view of suspended placements: a table
 // from VM address to suspended-host MAC, maintained only while hosts are
 // suspended (the paper's footnote: "the VM to host mappings are only
 // updated when a host is suspended"). Route is the lightweight packet
 // analyzer: O(1) per packet.
 type Switch struct {
-	vmToHost map[VMID]MAC
-	hostVMs  map[MAC][]VMID
-	wol      func(MAC)
+	vms   *Table
+	hosts MACTable[suspended]
+	wol   func(MAC)
 
 	packets uint64
 	wolSent uint64
 	misses  uint64 // packets for VMs on awake hosts (forwarded directly)
 }
 
-// NewSwitch creates a switch that calls wol to deliver a Wake-on-LAN
-// packet to a suspended host.
-func NewSwitch(wol func(MAC)) *Switch {
+// suspended is one host's entry: its VM list while mapped.
+type suspended struct {
+	vms    []VMID
+	mapped bool
+}
+
+// NewSwitch creates a switch that records its VM→MAC mappings in vms
+// and calls wol to deliver a Wake-on-LAN packet to a suspended host.
+func NewSwitch(wol func(MAC), vms *Table) *Switch {
 	if wol == nil {
 		panic("netsim: nil WoL callback")
 	}
-	return &Switch{
-		vmToHost: make(map[VMID]MAC),
-		hostVMs:  make(map[MAC][]VMID),
-		wol:      wol,
+	if vms == nil {
+		panic("netsim: nil VM table")
 	}
+	return &Switch{vms: vms, wol: wol}
 }
 
 // MapSuspended records that host mac was suspended while hosting vms.
 func (s *Switch) MapSuspended(mac MAC, vms []VMID) {
-	if _, dup := s.hostVMs[mac]; dup {
+	if mac < 0 {
+		panic(fmt.Sprintf("netsim: negative MAC %d", mac))
+	}
+	if s.hosts.Get(mac).mapped {
 		panic(fmt.Sprintf("netsim: host %d suspended twice without resume", mac))
 	}
 	list := append([]VMID(nil), vms...)
-	s.hostVMs[mac] = list
+	*s.hosts.At(mac) = suspended{vms: list, mapped: true}
+	t := s.vms
 	for _, vm := range list {
-		s.vmToHost[vm] = mac
+		if int(vm) >= len(t.macs) {
+			t.macs = append(t.macs, make([]MAC, int(vm)+1-len(t.macs))...)
+		}
+		t.macs[vm] = mac + 1
 	}
 }
 
 // UnmapHost removes the mappings of a resumed host. Unknown hosts are a
 // no-op: a WoL may race with an already-initiated resume.
 func (s *Switch) UnmapHost(mac MAC) {
-	for _, vm := range s.hostVMs[mac] {
-		delete(s.vmToHost, vm)
+	h := s.hosts.Get(mac)
+	if !h.mapped {
+		return
 	}
-	delete(s.hostVMs, mac)
+	for _, vm := range h.vms {
+		s.vms.macs[vm] = 0
+	}
+	*s.hosts.At(mac) = suspended{}
 }
 
 // HostVMs returns the VM list of suspended host mac and whether it is
 // mapped. MapSuspended copied the list in and nothing mutates it after,
 // so callers may keep it but must not modify it.
 func (s *Switch) HostVMs(mac MAC) ([]VMID, bool) {
-	vms, ok := s.hostVMs[mac]
-	return vms, ok
+	h := s.hosts.Get(mac)
+	return h.vms, h.mapped
 }
 
 // Lookup returns the suspended host of a VM, if any.
 func (s *Switch) Lookup(vm VMID) (MAC, bool) {
-	mac, ok := s.vmToHost[vm]
-	return mac, ok
+	t := s.vms.macs
+	if vm < 0 || int(vm) >= len(t) || t[vm] == 0 {
+		return 0, false
+	}
+	return t[vm] - 1, true
 }
 
 // SuspendedHosts returns the MACs with live mappings, sorted.
 func (s *Switch) SuspendedHosts() []MAC {
-	out := make([]MAC, 0, len(s.hostVMs))
-	for mac := range s.hostVMs {
-		out = append(out, mac)
+	var out []MAC
+	for mac, h := range s.hosts.All() {
+		if h.mapped {
+			out = append(out, mac)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -102,7 +195,7 @@ func (s *Switch) SuspendedHosts() []MAC {
 // workload model's concern). It reports whether a wake was triggered.
 func (s *Switch) Route(p Packet) bool {
 	s.packets++
-	mac, ok := s.vmToHost[p.Dst]
+	mac, ok := s.Lookup(p.Dst)
 	if !ok {
 		s.misses++
 		return false

@@ -14,11 +14,13 @@ func TestSpawnKillProcessTable(t *testing.T) {
 	if o.NumProcesses() != 2 {
 		t.Fatalf("procs = %d", o.NumProcesses())
 	}
-	if o.Process(a).Name != "apache" || o.Process(b).State != StateSleeping {
+	pa, okA := o.Process(a)
+	pb, okB := o.Process(b)
+	if !okA || !okB || pa.Name != "apache" || pb.State != StateSleeping {
 		t.Fatal("process fields wrong")
 	}
 	o.Kill(a)
-	if o.NumProcesses() != 1 || o.Process(a) != nil {
+	if _, ok := o.Process(a); o.NumProcesses() != 1 || ok {
 		t.Fatal("kill failed")
 	}
 	o.Kill(a) // idempotent

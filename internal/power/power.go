@@ -9,7 +9,10 @@
 // work (§VI-A-3).
 package power
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // State is a host power state.
 type State int
@@ -50,9 +53,9 @@ func (s State) String() string {
 	}
 }
 
-// legalTransitions encodes the state machine: a suspended host cannot
-// jump to active without resuming, etc.
-var legalTransitions = map[State][]State{
+// legalTransitions encodes the state machine, indexed by the source
+// state: a suspended host cannot jump to active without resuming, etc.
+var legalTransitions = [NumStates][]State{
 	StateActive:     {StateSuspending, StateOff},
 	StateSuspending: {StateSuspended},
 	StateSuspended:  {StateResuming, StateOff},
@@ -62,12 +65,7 @@ var legalTransitions = map[State][]State{
 
 // CanTransition reports whether from → to is a legal state change.
 func CanTransition(from, to State) bool {
-	for _, s := range legalTransitions[from] {
-		if s == to {
-			return true
-		}
-	}
-	return false
+	return from >= 0 && from < NumStates && slices.Contains(legalTransitions[from], to)
 }
 
 // Profile holds the electrical and temporal characteristics of a host.

@@ -117,8 +117,10 @@ func Expand(seed uint64, h simtime.Hour, level float64) []Burst {
 	n := 1 + int(r.next()%uint64(maxN))
 	// Partition the busy seconds into n burst lengths (base 1 each) and
 	// the idle seconds into n+1 gaps (base 1 for the n-1 inner gaps).
-	burstExtra := partition(busy-n, n, &r)
-	gapExtra := partition(idle-(n-1), n+1, &r)
+	// Both fit fixed arrays, so the returned slice is the one allocation.
+	var burstExtra, gapExtra [MaxBurstsPerHour + 1]int
+	partition(burstExtra[:n], busy-n, &r)
+	partition(gapExtra[:n+1], idle-(n-1), &r)
 	bursts := make([]Burst, n)
 	pos := gapExtra[0]
 	for i := 0; i < n; i++ {
@@ -132,14 +134,16 @@ func Expand(seed uint64, h simtime.Hour, level float64) []Burst {
 	return bursts
 }
 
-// partition splits total seconds into k non-negative parts with hashed
-// weights (deterministic, order-stable remainder handling).
-func partition(total, k int, r *rng) []int {
-	parts := make([]int, k)
+// partition splits total seconds into len(parts) non-negative parts
+// with hashed weights (deterministic, order-stable remainder handling).
+// parts arrives zeroed and holds at most MaxBurstsPerHour+1 parts.
+func partition(parts []int, total int, r *rng) {
+	k := len(parts)
 	if total <= 0 || k <= 0 {
-		return parts
+		return
 	}
-	weights := make([]float64, k)
+	var buf [MaxBurstsPerHour + 1]float64
+	weights := buf[:k]
 	sum := 0.0
 	for i := range weights {
 		// Floor of 0.25 keeps any one part from degenerating to a
@@ -159,7 +163,6 @@ func partition(total, k int, r *rng) []int {
 		parts[i%k]++
 		acc++
 	}
-	return parts
 }
 
 // BusySeconds sums the burst lengths of a timeline.

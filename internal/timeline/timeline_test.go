@@ -143,6 +143,24 @@ func TestMixSeed(t *testing.T) {
 	}
 }
 
+// TestExpandAllocatesOnlyResult: an interior level (a timeline with
+// gaps) costs exactly one allocation, the returned slice — the burst
+// and gap partitions live in fixed arrays.
+func TestExpandAllocatesOnlyResult(t *testing.T) {
+	for _, level := range []float64{0.0003, 0.05, 0.3, 0.5, 0.9, 0.9995} {
+		h := simtime.Hour(0)
+		n := testing.AllocsPerRun(200, func() {
+			h++
+			if bs := Expand(0xfeed, h, level); len(bs) == 0 {
+				t.Fatal("interior level expanded to no bursts")
+			}
+		})
+		if n != 1 {
+			t.Errorf("Expand(level %v) allocates %v times, want 1", level, n)
+		}
+	}
+}
+
 // BenchmarkExpand measures one hour's expansion (the quantity memoized
 // per (VM, hour)).
 func BenchmarkExpand(b *testing.B) {

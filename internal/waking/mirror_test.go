@@ -63,16 +63,16 @@ func TestMirrorMatchesSnapshot(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				mods[i].HostResumed(mac)
 			}
-		})
+		}, netsim.NewTable(0))
 	}
 	Pair(mods[0], mods[1])
 	check := func(step int, op string) {
 		t.Helper()
 		for i, m := range mods {
 			peer := mods[1-i]
-			if !reflect.DeepEqual(peer.mirrorCopy, m.snapshot()) {
+			if got, want := live(peer.mirror), live(m.snapshot()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d (%s): mirror of m%d = %+v, snapshot = %+v",
-					step, op, i, *peer.mirrorCopy, *m.snapshot())
+					step, op, i, got, want)
 			}
 		}
 	}
@@ -107,13 +107,26 @@ func TestMirrorMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// live returns a state's entries for hosts mapped or dated: the mirror
+// keeps the entries of hosts that have resumed since, and an empty
+// entry reads as a missing one.
+func live(s state) map[netsim.MAC]mirrored {
+	out := map[netsim.MAC]mirrored{}
+	for mac, e := range s.All() {
+		if e.mapped || e.dated {
+			out[mac] = *e
+		}
+	}
+	return out
+}
+
 // pairWithSleepers returns a paired module holding sleepers suspended
 // hosts whose wakes lie far beyond any cycle's.
 func pairWithSleepers(sleepers int) (*Module, *sim.Engine) {
 	e := sim.New()
 	wol := func(netsim.MAC) {}
-	a := New("a", e, 1, wol)
-	Pair(a, New("b", e, 1, wol))
+	a := New("a", e, 1, wol, netsim.NewTable(0))
+	Pair(a, New("b", e, 1, wol, netsim.NewTable(0)))
 	for h := 0; h < sleepers; h++ {
 		mac := netsim.MAC(1 + h)
 		a.HostSuspended(mac, []netsim.VMID{netsim.VMID(4 * mac), netsim.VMID(4*mac + 1)}, 1<<40, true)

@@ -17,7 +17,6 @@ package waking
 
 import (
 	"fmt"
-	"sort"
 
 	"drowsydc/internal/netsim"
 	"drowsydc/internal/sim"
@@ -32,9 +31,8 @@ type Module struct {
 	wol    func(netsim.MAC)
 	lead   simtime.Duration // wake this much ahead of the scheduled date
 
-	sw        *netsim.Switch
-	schedule  map[netsim.MAC]*sim.Timer
-	wakeDates map[netsim.MAC]simtime.Time
+	sw    *netsim.Switch
+	wakes netsim.MACTable[hostWake]
 
 	lastBeat simtime.Time
 	failed   bool
@@ -45,24 +43,39 @@ type Module struct {
 	loss    *netsim.LossModel
 	deliver func(netsim.MAC, netsim.WakeOutcome)
 
-	peer       *Module
-	mirrorCopy *state // the peer's snapshot(), kept equal by its syncHost
+	peer   *Module
+	mirror state // the peer's snapshot(), kept equal by its syncHost
 
 	scheduledWakes uint64
 	packetWakes    uint64
 	takeovers      uint64
 }
 
-// state is the replicable part of a module: the suspended-host mappings
-// and their waking dates.
-type state struct {
-	hostVMs   map[netsim.MAC][]netsim.VMID
-	wakeDates map[netsim.MAC]simtime.Time
+// hostWake is one host's scheduled-wake state.
+type hostWake struct {
+	// timer is the queued ahead-of-time WoL, nil when none is pending.
+	timer *sim.Timer
+	// date is the registered waking date, meaningful when dated.
+	date  simtime.Time
+	dated bool
+}
+
+// state is the replicable part of a module, indexed by MAC: the
+// suspended-host mappings and their waking dates.
+type state = netsim.MACTable[mirrored]
+
+// mirrored is one host's entry in a state.
+type mirrored struct {
+	vms    []netsim.VMID // shared with the switch that mapped them
+	mapped bool
+	date   simtime.Time
+	dated  bool
 }
 
 // New creates a waking module. wol delivers Wake-on-LAN to a host; lead
-// is the resume latency compensated when firing scheduled dates.
-func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim.MAC)) *Module {
+// is the resume latency compensated when firing scheduled dates; vms is
+// the VM→MAC table the module's switch records its mappings in.
+func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim.MAC), vms *netsim.Table) *Module {
 	if wol == nil {
 		panic("waking: nil WoL sender")
 	}
@@ -70,22 +83,20 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 		panic("waking: negative lead")
 	}
 	m := &Module{
-		Name:      name,
-		engine:    engine,
-		wol:       wol,
-		lead:      lead,
-		schedule:  make(map[netsim.MAC]*sim.Timer),
-		wakeDates: make(map[netsim.MAC]simtime.Time),
+		Name:   name,
+		engine: engine,
+		wol:    wol,
+		lead:   lead,
 	}
-	m.sw = netsim.NewSwitch(m.fireWoL)
+	m.sw = netsim.NewSwitch(m.fireWoL, vms)
 	return m
 }
 
 // Pair links two modules as mutual mirrors.
 func Pair(a, b *Module) {
 	a.peer, b.peer = b, a
-	a.mirrorCopy = b.snapshot()
-	b.mirrorCopy = a.snapshot()
+	a.mirror = b.snapshot()
+	b.mirror = a.snapshot()
 }
 
 // Switch exposes the module's packet path for the workload model.
@@ -102,14 +113,13 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 		if fireAt < m.engine.Now() {
 			fireAt = m.engine.Now()
 		}
-		m.wakeDates[mac] = wakeAt
-		m.schedule[mac] = m.engine.Schedule(fireAt, func(*sim.Engine) {
+		timer := m.engine.Schedule(fireAt, func(*sim.Engine) {
 			m.scheduledWakes++
-			delete(m.schedule, mac)
-			delete(m.wakeDates, mac)
+			*m.wakes.At(mac) = hostWake{}
 			m.syncHost(mac)
 			m.fireWoL(mac)
 		})
+		*m.wakes.At(mac) = hostWake{timer: timer, date: wakeAt, dated: true}
 	}
 	m.syncHost(mac)
 }
@@ -118,11 +128,10 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 // awake again.
 func (m *Module) HostResumed(mac netsim.MAC) {
 	m.sw.UnmapHost(mac)
-	if t, ok := m.schedule[mac]; ok {
-		t.Cancel()
-		delete(m.schedule, mac)
+	if w := m.wakes.Get(mac); w != (hostWake{}) {
+		w.timer.Cancel()
+		*m.wakes.At(mac) = hostWake{}
 	}
-	delete(m.wakeDates, mac)
 	m.syncHost(mac)
 }
 
@@ -133,11 +142,11 @@ func (m *Module) HostResumed(mac netsim.MAC) {
 // true second-scale instants instead of the next hour boundary (the
 // only points the engine otherwise advances through).
 func (m *Module) ScheduledFire(mac netsim.MAC) (simtime.Time, bool) {
-	t, ok := m.schedule[mac]
-	if !ok || !t.Active() {
+	w := m.wakes.Get(mac)
+	if !w.timer.Active() {
 		return 0, false
 	}
-	fireAt := m.wakeDates[mac] - simtime.Time(m.lead)
+	fireAt := w.date - simtime.Time(m.lead)
 	if fireAt < m.engine.Now() {
 		fireAt = m.engine.Now()
 	}
@@ -151,13 +160,12 @@ func (m *Module) ScheduledFire(mac netsim.MAC) (simtime.Time, bool) {
 // to ScheduledFire's time); firing through the engine at hour
 // boundaries remains the default path.
 func (m *Module) FireScheduled(mac netsim.MAC) bool {
-	t, ok := m.schedule[mac]
-	if !ok || !t.Active() {
+	t := m.wakes.Get(mac).timer
+	if !t.Active() {
 		return false
 	}
 	t.Cancel()
-	delete(m.schedule, mac)
-	delete(m.wakeDates, mac)
+	*m.wakes.At(mac) = hostWake{}
 	m.syncHost(mac)
 	m.scheduledWakes++
 	m.fireWoL(mac)
@@ -217,26 +225,23 @@ func (m *Module) CheckPeer(timeout simtime.Duration) bool {
 	if !m.peer.failed && now-m.peer.lastBeat <= simtime.Time(timeout) {
 		return false
 	}
-	// Peer is dead: adopt its mirrored mappings. Deterministic order so
-	// takeover is replayable.
-	if m.mirrorCopy != nil {
-		macs := make([]netsim.MAC, 0, len(m.mirrorCopy.hostVMs))
-		for mac := range m.mirrorCopy.hostVMs {
-			macs = append(macs, mac)
+	// Peer is dead: adopt its mirrored mappings, in ascending MAC order
+	// so takeover is replayable.
+	for mac, e := range m.mirror.All() {
+		if !e.mapped {
+			continue
 		}
-		sort.Slice(macs, func(i, j int) bool { return macs[i] < macs[j] })
-		for _, mac := range macs {
-			if _, already := m.sw.HostVMs(mac); already {
-				continue
-			}
-			wakeAt, hasDate := m.mirrorCopy.wakeDates[mac]
-			m.HostSuspended(mac, m.mirrorCopy.hostVMs[mac], wakeAt, hasDate)
+		if _, already := m.sw.HostVMs(mac); already {
+			continue
 		}
+		m.HostSuspended(mac, e.vms, e.date, e.dated)
 	}
 	// Cancel the dead peer's pending timers so hosts are not woken twice.
-	for mac, t := range m.peer.schedule {
-		t.Cancel()
-		delete(m.peer.schedule, mac)
+	for _, w := range m.peer.wakes.All() {
+		if w.timer != nil {
+			w.timer.Cancel()
+			w.timer = nil
+		}
 	}
 	m.peer.failed = true
 	m.takeovers++
@@ -245,16 +250,17 @@ func (m *Module) CheckPeer(timeout simtime.Duration) bool {
 
 // snapshot copies the replicable state. Pair seeds a mirror with it;
 // afterwards syncHost keeps the mirror equal to it one host at a time.
-func (m *Module) snapshot() *state {
-	s := &state{
-		hostVMs:   make(map[netsim.MAC][]netsim.VMID),
-		wakeDates: make(map[netsim.MAC]simtime.Time),
-	}
+func (m *Module) snapshot() state {
+	var s state
 	for _, mac := range m.sw.SuspendedHosts() {
-		s.hostVMs[mac], _ = m.sw.HostVMs(mac)
+		e := s.At(mac)
+		e.vms, e.mapped = m.sw.HostVMs(mac)
 	}
-	for mac, at := range m.wakeDates {
-		s.wakeDates[mac] = at
+	for mac, w := range m.wakes.All() {
+		if w.dated {
+			e := s.At(mac)
+			e.date, e.dated = w.date, true
+		}
 	}
 	return s
 }
@@ -269,17 +275,9 @@ func (m *Module) syncHost(mac netsim.MAC) {
 	if m.peer == nil || m.peer.failed {
 		return
 	}
-	mirror := m.peer.mirrorCopy
-	if vms, ok := m.sw.HostVMs(mac); ok {
-		mirror.hostVMs[mac] = vms
-	} else {
-		delete(mirror.hostVMs, mac)
-	}
-	if at, ok := m.wakeDates[mac]; ok {
-		mirror.wakeDates[mac] = at
-	} else {
-		delete(mirror.wakeDates, mac)
-	}
+	vms, mapped := m.sw.HostVMs(mac)
+	w := m.wakes.Get(mac)
+	*m.peer.mirror.At(mac) = mirrored{vms: vms, mapped: mapped, date: w.date, dated: w.dated}
 }
 
 // Stats returns (scheduled wakes fired, packet wakes fired, takeovers).
@@ -289,8 +287,14 @@ func (m *Module) Stats() (scheduled, packet, takeovers uint64) {
 
 // String renders a diagnostic summary.
 func (m *Module) String() string {
+	scheduled := 0
+	for _, w := range m.wakes.All() {
+		if w.timer != nil {
+			scheduled++
+		}
+	}
 	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d failed=%v}",
-		m.Name, len(m.sw.SuspendedHosts()), len(m.schedule), m.failed)
+		m.Name, len(m.sw.SuspendedHosts()), scheduled, m.failed)
 }
 
 // PendingWakeDate returns the registered waking date of a suspended
@@ -299,11 +303,11 @@ func (m *Module) String() string {
 // checkpoints capture it so a restored module can re-register the exact
 // same schedule through HostSuspended.
 func (m *Module) PendingWakeDate(mac netsim.MAC) (simtime.Time, bool) {
-	t, ok := m.schedule[mac]
-	if !ok || !t.Active() {
+	w := m.wakes.Get(mac)
+	if !w.timer.Active() {
 		return 0, false
 	}
-	return m.wakeDates[mac], true
+	return w.date, true
 }
 
 // RestoreCounters overwrites the module's cumulative wake counters with

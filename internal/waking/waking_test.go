@@ -1,6 +1,7 @@
 package waking
 
 import (
+	"strings"
 	"testing"
 
 	"drowsydc/internal/netsim"
@@ -8,7 +9,7 @@ import (
 )
 
 func newTestModule(name string, e *sim.Engine, woken *[]netsim.MAC) *Module {
-	return New(name, e, 1 /* 1s lead */, func(m netsim.MAC) { *woken = append(*woken, m) })
+	return New(name, e, 1 /* 1s lead */, func(m netsim.MAC) { *woken = append(*woken, m) }, netsim.NewTable(0))
 }
 
 func TestScheduledWakeFiresAheadOfTime(t *testing.T) {
@@ -156,7 +157,7 @@ func TestConstructorValidation(t *testing.T) {
 				t.Error("nil wol should panic")
 			}
 		}()
-		New("x", e, 1, nil)
+		New("x", e, 1, nil, netsim.NewTable(0))
 	}()
 	func() {
 		defer func() {
@@ -164,7 +165,7 @@ func TestConstructorValidation(t *testing.T) {
 				t.Error("negative lead should panic")
 			}
 		}()
-		New("x", e, -1, func(netsim.MAC) {})
+		New("x", e, -1, func(netsim.MAC) {}, netsim.NewTable(0))
 	}()
 }
 
@@ -177,6 +178,35 @@ func TestStringer(t *testing.T) {
 	}
 	if m.Failed() {
 		t.Fatal("fresh module should not be failed")
+	}
+	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
+	m.HostSuspended(5, []netsim.VMID{2}, 0, false)
+	if s := m.String(); !strings.Contains(s, "suspended=2 scheduled=1") {
+		t.Fatalf("String = %q, want two sleepers and one scheduled wake", s)
+	}
+}
+
+// TestPendingWakeDateAndCounters pins the checkpoint surface: the raw
+// waking date (not the lead-adjusted fire instant) while a wake is
+// pending, none once the host resumed, and restorable wake counters.
+func TestPendingWakeDateAndCounters(t *testing.T) {
+	e := sim.New()
+	var woken []netsim.MAC
+	m := newTestModule("rack0", e, &woken)
+	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
+	if at, ok := m.PendingWakeDate(3); !ok || at != 100 {
+		t.Fatalf("PendingWakeDate(3) = %v,%v; want 100,true", at, ok)
+	}
+	if _, ok := m.PendingWakeDate(4); ok {
+		t.Fatal("host 4 never suspended: no pending date expected")
+	}
+	m.HostResumed(3)
+	if _, ok := m.PendingWakeDate(3); ok {
+		t.Fatal("a resumed host keeps no pending date")
+	}
+	m.RestoreCounters(7, 9)
+	if s, p, _ := m.Stats(); s != 7 || p != 9 {
+		t.Fatalf("Stats after RestoreCounters = %d,%d; want 7,9", s, p)
 	}
 }
 
