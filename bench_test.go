@@ -14,6 +14,7 @@ import (
 	"io"
 	"testing"
 
+	"drowsydc/internal/cluster"
 	"drowsydc/internal/core"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/drowsy"
@@ -42,8 +43,11 @@ func BenchmarkFigure1Traces(b *testing.B) {
 func BenchmarkFigure2Colocation(b *testing.B) {
 	var v34 float64
 	for i := 0; i < b.N; i++ {
-		res := exp.RunTestbedPolicy("drowsy-full", 7, true, true)
-		v34 = res.Coloc.Fraction(2, 3)
+		rep, err := Testbed().Run(PolicyDrowsyFull)
+		if err != nil {
+			b.Fatal(err)
+		}
+		v34 = rep.ColocationFraction(2, 3)
 	}
 	b.ReportMetric(100*v34, "V3V4-coloc-%")
 }
@@ -162,11 +166,10 @@ func BenchmarkFleetScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := exp.ScalingCluster(cfg.vms)
 				res := dcsim.NewRunner(dcsim.Config{
-					Hours:             cfg.hours,
-					EnableSuspend:     true,
-					UseGrace:          true,
-					RebalanceEvery:    cfg.hours + 1,
-					DisableColocation: true,
+					Hours:          cfg.hours,
+					EnableSuspend:  true,
+					UseGrace:       true,
+					RebalanceEvery: cfg.hours + 1,
 				}, c, drowsy.New(drowsy.Options{})).Run()
 				if res.EnergyKWh <= 0 {
 					b.Fatal("no energy")
@@ -206,11 +209,13 @@ func BenchmarkAblationGraceTime(b *testing.B) {
 // naive (1500 ms) resume paths on worst-case request latency.
 func BenchmarkAblationNaiveResume(b *testing.B) {
 	run := func(naive bool) float64 {
-		c := exp.BuildCluster(4, 16, 4, 2, exp.TestbedSpecs())
-		res := dcsim.NewRunner(dcsim.Config{
-			Hours: 7 * 24, EnableSuspend: true, UseGrace: true, NaiveResume: naive,
-		}, c, exp.NewPolicy("drowsy-full")).Run()
-		return res.WakeLatency.Max()
+		s := Testbed()
+		s.NaiveResume = naive
+		rep, err := s.Run(PolicyDrowsyFull)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return rep.WorstWakeLatencySeconds
 	}
 	var fast, slow float64
 	for i := 0; i < b.N; i++ {
@@ -299,14 +304,32 @@ func BenchmarkModelIP(b *testing.B) {
 	}
 }
 
+// testbedCluster places the §VI-A VMs on their start hosts within a
+// fleet of n hosts of 16 GB, 8 vCPUs and 4 slots: the mid-size cluster
+// the rebalance micro-benchmarks run one round on.
+func testbedCluster(n int) *cluster.Cluster {
+	c := cluster.New()
+	for i := 0; i < n; i++ {
+		c.AddHost(cluster.NewHost(i, fmt.Sprintf("P%d", i+2), 16, 8, 4))
+	}
+	for i, g := range exp.TestbedGroups() {
+		v := cluster.NewVM(i, g.Name, g.Kind, g.MemGB, g.VCPUs, g.Gen)
+		c.AddVM(v)
+		if err := c.Place(v, c.Hosts()[g.StartHost-1]); err != nil {
+			panic(err)
+		}
+	}
+	return c
+}
+
 // BenchmarkRebalanceDrowsy is one full-relocation round on a mid-size
 // cluster with trained models.
 func BenchmarkRebalanceDrowsy(b *testing.B) {
-	c := exp.BuildCluster(16, 16, 8, 4, exp.TestbedSpecs())
+	c := testbedCluster(16)
 	p := drowsy.New(drowsy.Options{FullRelocation: true})
 	for h := simtime.Hour(0); h < 48; h++ {
 		for _, v := range c.VMs() {
-			v.Observe(h, v.Activity(h))
+			v.Model.Observe(simtime.Decompose(h), v.Activity(h))
 		}
 	}
 	b.ReportAllocs()
@@ -319,7 +342,7 @@ func BenchmarkRebalanceDrowsy(b *testing.B) {
 // BenchmarkRebalanceNeat is Neat's detection + selection + placement
 // round.
 func BenchmarkRebalanceNeat(b *testing.B) {
-	c := exp.BuildCluster(16, 16, 8, 4, exp.TestbedSpecs())
+	c := testbedCluster(16)
 	p := neat.New(neat.Options{})
 	for h := simtime.Hour(0); h < 48; h++ {
 		p.RecordHour(c, h)

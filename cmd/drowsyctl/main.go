@@ -18,10 +18,6 @@
 //	drowsyctl scenario run -name F # run a family, energy/SLA/latency JSON
 //	drowsyctl scenario sweep -family F -param P -values a,b,c
 //	                               # Figure-3-style sensitivity sweep at fleet scale
-//	drowsyctl bench [-quick] [-compare old.json]
-//	                               # benchmark results as JSON (BENCH_*.json);
-//	                               # -compare prints a delta table vs a prior
-//	                               # run and exits non-zero on >20% regression
 package main
 
 import (
@@ -56,8 +52,6 @@ func main() {
 		runScaling(os.Stdout, args)
 	case "scenario":
 		runScenario(args)
-	case "bench":
-		runBench(args)
 	case "all":
 		runAll()
 	default:
@@ -69,7 +63,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: drowsyctl <command> [flags]
-commands: figure1 figure2 table1 energy figure3 table2 figure4 simulation scaling scenario bench all`)
+commands: figure1 figure2 table1 energy figure3 table2 figure4 simulation scaling scenario all`)
 }
 
 func runFigure1(w io.Writer, args []string) {

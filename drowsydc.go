@@ -27,7 +27,7 @@ import (
 	"drowsydc/internal/core"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/exp"
-	"drowsydc/internal/power"
+	"drowsydc/internal/scenario"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -147,15 +147,15 @@ func (s *Scenario) AddVM(v VM) *Scenario {
 // 8 VMs (2 LLMU + 6 LLMI, V3/V4 sharing a workload).
 func Testbed() *Scenario {
 	s := NewScenario(4, 16, 4, 2)
-	for _, spec := range exp.TestbedSpecs() {
+	for _, g := range exp.TestbedGroups() {
 		s.AddVM(VM{
-			Name:        spec.Name,
-			MemGB:       spec.MemGB,
-			VCPUs:       spec.VCPUs,
-			Workload:    Workload{spec.Gen},
-			MostlyUsed:  spec.Kind == cluster.KindLLMU,
-			TimerDriven: spec.TimerDriven,
-			InitialHost: spec.InitialHost,
+			Name:        g.Name,
+			MemGB:       g.MemGB,
+			VCPUs:       g.VCPUs,
+			Workload:    Workload{g.Gen},
+			MostlyUsed:  g.Kind == cluster.KindLLMU,
+			TimerDriven: g.TimerDriven,
+			InitialHost: g.StartHost - 1,
 		})
 	}
 	return s
@@ -182,52 +182,41 @@ type Report struct {
 	// ColocationFraction returns the share of hours VMs i and j (by
 	// AddVM order) shared a host.
 	ColocationFraction func(i, j int) float64
-
-	raw *dcsim.Result
 }
 
-// Run executes the scenario under the given policy.
+// Run executes the scenario under the given policy: the fleet is
+// declared as a one-column scenario.Scenario, one single-VM group per
+// VM, and run through scenario.Simulate with a colocation probe.
 func (s *Scenario) Run(p Policy) (*Report, error) {
-	if s.Days <= 0 {
-		return nil, fmt.Errorf("drowsydc: non-positive duration %d days", s.Days)
+	sc := scenario.Scenario{
+		Name:           "drowsydc",
+		Start:          s.Start,
+		HorizonHours:   s.Days * 24,
+		Hosts:          []scenario.HostClass{{Name: "P", Count: s.hosts, MemGB: s.hostMemGB, VCPUs: s.hostVCPUs, Slots: s.slots}},
+		RebalanceEvery: s.RebalanceEveryHours,
+		Policies: []scenario.PolicyConfig{{Label: string(p), Policy: string(p),
+			Suspend: s.Suspend, Grace: s.Grace, NaiveResume: s.NaiveResume}},
 	}
-	if len(s.vms) == 0 {
-		return nil, fmt.Errorf("drowsydc: scenario has no VMs")
-	}
-	specs := make([]exp.VMSpec, 0, len(s.vms))
 	for _, v := range s.vms {
 		kind := cluster.KindLLMI
 		if v.MostlyUsed {
 			kind = cluster.KindLLMU
 		}
-		if v.MemGB <= 0 || v.VCPUs <= 0 {
-			return nil, fmt.Errorf("drowsydc: VM %q has invalid capacity", v.Name)
+		if v.InitialHost >= s.hosts || v.InitialHost < -1 {
+			return nil, fmt.Errorf("drowsydc: VM %q pinned to host %d of %d", v.Name, v.InitialHost, s.hosts)
 		}
-		init := v.InitialHost
-		if init >= s.hosts || init < -1 {
-			return nil, fmt.Errorf("drowsydc: VM %q pinned to host %d of %d", v.Name, init, s.hosts)
-		}
-		specs = append(specs, exp.VMSpec{
-			Name:        v.Name,
-			Kind:        kind,
-			MemGB:       v.MemGB,
-			VCPUs:       v.VCPUs,
-			Gen:         v.Workload.gen,
-			TimerDriven: v.TimerDriven,
-			InitialHost: init,
-		})
+		sc.Groups = append(sc.Groups, scenario.WorkloadGroup{Name: v.Name, Count: 1, Kind: kind,
+			MemGB: v.MemGB, VCPUs: v.VCPUs, Gen: v.Workload.gen, Replicated: true,
+			TimerDriven: v.TimerDriven, StartHost: v.InitialHost + 1})
 	}
-	c := exp.BuildCluster(s.hosts, s.hostMemGB, s.hostVCPUs, s.slots, specs)
-	runner := dcsim.NewRunner(dcsim.Config{
-		Profile:        power.DefaultProfile(),
-		Hours:          s.Days * 24,
-		EnableSuspend:  s.Suspend,
-		UseGrace:       s.Grace,
-		NaiveResume:    s.NaiveResume,
-		RebalanceEvery: s.RebalanceEveryHours,
-		StartHour:      s.Start,
-	}, c, exp.NewPolicy(string(p)))
-	res := runner.Run()
+	coloc := exp.NewColocationProbe(len(s.vms))
+	results, err := scenario.Simulate(sc, scenario.Options{
+		Probe: func(int, string) dcsim.Probe { return coloc },
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := results[0]
 	return &Report{
 		Policy:                  res.Policy,
 		Days:                    s.Days,
@@ -237,8 +226,7 @@ func (s *Scenario) Run(p Policy) (*Report, error) {
 		Migrations:              res.Migrations,
 		SLAFraction:             res.Latency.SLAFraction(),
 		WorstWakeLatencySeconds: res.WakeLatency.Max(),
-		ColocationFraction:      res.Coloc.Fraction,
-		raw:                     res,
+		ColocationFraction:      coloc.Fraction,
 	}, nil
 }
 

@@ -144,11 +144,6 @@ func (v *VM) Probability(h simtime.Hour) float64 {
 	return v.Model.Probability(simtime.Decompose(h))
 }
 
-// Observe feeds one hourly activity observation into the idleness model.
-func (v *VM) Observe(h simtime.Hour, activity float64) {
-	v.Model.Observe(simtime.Decompose(h), activity)
-}
-
 // Host is a physical server.
 type Host struct {
 	ID    int
@@ -440,8 +435,8 @@ func (c *Cluster) Migrations() int { return c.migrations }
 // MigrationSeconds returns the cumulative migration transfer time.
 func (c *Cluster) MigrationSeconds() float64 { return c.migrationSecs }
 
-// Assignments returns hosts indexed by VM order (for the colocation
-// tracker): element i is the host ID of VMs()[i], or -1.
+// Assignments returns hosts indexed by VM order: element i is the host
+// ID of VMs()[i], or -1.
 func (c *Cluster) Assignments() []int {
 	out := make([]int, len(c.vms))
 	for i, v := range c.vms {

@@ -137,7 +137,7 @@ func TestUtilizationAndIP(t *testing.T) {
 	}
 	// Train the VM idle: host IP rises.
 	for i := 0; i < 48; i++ {
-		v.Observe(simtime.Hour(i), 0)
+		v.Model.Observe(simtime.Decompose(simtime.Hour(i)), 0)
 	}
 	if h.IP(50) <= 0 {
 		t.Fatalf("host IP after idle training = %v", h.IP(50))
@@ -162,8 +162,8 @@ func TestIPRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 72; i++ {
-		idle.Observe(simtime.Hour(i), idle.Activity(simtime.Hour(i)))
-		busy.Observe(simtime.Hour(i), busy.Activity(simtime.Hour(i)))
+		idle.Model.Observe(simtime.Decompose(simtime.Hour(i)), idle.Activity(simtime.Hour(i)))
+		busy.Model.Observe(simtime.Decompose(simtime.Hour(i)), busy.Activity(simtime.Hour(i)))
 	}
 	if h.IPRange(80) <= 0 {
 		t.Fatalf("mixed host should have positive IP range, got %v", h.IPRange(80))

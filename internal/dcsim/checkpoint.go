@@ -118,17 +118,13 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 // Result is bit-identical to the straight-through run at any
 // ShardWorkers count.
 //
-// Restrictions: a resumed run cannot carry a Probe (per-hour samples
-// before the checkpoint are gone — the flight recorder would silently
-// report a truncated history), and must disable colocation tracking
-// (the matrix accumulates across every simulated hour and is not
-// checkpointed). Both are rejected with errors, not silently dropped.
+// A resumed run cannot carry a Probe: per-hour samples before the
+// checkpoint are gone, and the flight recorder (or a placement probe's
+// colocation matrix) would silently report a truncated history. It is
+// rejected with an error, not silently dropped.
 func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *checkpoint.RunState) (*Runner, error) {
 	if cfg.Probe != nil {
 		return nil, fmt.Errorf("dcsim: a resumed run cannot attach a probe")
-	}
-	if !cfg.DisableColocation {
-		return nil, fmt.Errorf("dcsim: a resumed run requires DisableColocation (the colocation matrix is not checkpointed)")
 	}
 	if st.Policy != policy.Name() {
 		return nil, fmt.Errorf("dcsim: checkpoint from policy %q cannot resume policy %q", st.Policy, policy.Name())

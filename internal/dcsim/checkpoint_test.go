@@ -24,7 +24,6 @@ func checkpointFixture(hosts int, churn bool) (*cluster.Cluster, Config) {
 		EnableSuspend:        true,
 		UseGrace:             true,
 		ShardHostSpan:        5,
-		DisableColocation:    true,
 		CheckpointEveryHours: 48,
 	}
 	if churn {
@@ -155,13 +154,6 @@ func TestResumeRejections(t *testing.T) {
 		cfg2.Probe = probeFunc(func(HourSample) {})
 		if _, err := ResumeRunner(cfg2, c2, pol(), st); err == nil {
 			t.Fatal("probe-attached resume accepted")
-		}
-	})
-	t.Run("colocation enabled", func(t *testing.T) {
-		c2, cfg2 := fresh()
-		cfg2.DisableColocation = false
-		if _, err := ResumeRunner(cfg2, c2, pol(), st); err == nil {
-			t.Fatal("colocation-enabled resume accepted")
 		}
 	})
 	t.Run("wrong horizon", func(t *testing.T) {

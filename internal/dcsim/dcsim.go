@@ -35,10 +35,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"drowsydc/internal/checkpoint"
@@ -47,6 +44,7 @@ import (
 	"drowsydc/internal/metrics"
 	"drowsydc/internal/netsim"
 	"drowsydc/internal/ossim"
+	"drowsydc/internal/par"
 	"drowsydc/internal/power"
 	"drowsydc/internal/sim"
 	"drowsydc/internal/simtime"
@@ -144,21 +142,6 @@ type Config struct {
 	// never on ShardWorkers, so the worker count cannot change which
 	// state is grouped — only how many shards advance at once.
 	ShardHostSpan int
-	// DisableColocation skips the hourly colocation-matrix update. The
-	// matrix is Figure 2's artifact and costs O(VMs²) per simulated hour
-	// — negligible on the 8-VM testbed, the single largest CPU item on a
-	// 500-VM year-horizon scenario. Runs that skip it must not read
-	// Result.Coloc fractions. No other output is affected.
-	DisableColocation bool
-	// ServiceSeconds is the base service time of one request (default
-	// 0.05 s; the CloudSuite web-search SLA is 200 ms).
-	ServiceSeconds float64
-	// SLASeconds is the SLA target (default 0.2 s).
-	SLASeconds float64
-	// TimerScanHorizonHours bounds the lookahead when converting a
-	// timer-driven VM's next active hour into an hr-timer (default one
-	// year).
-	TimerScanHorizonHours int
 	// Network, when non-nil, replaces the perfect Wake-on-LAN callback
 	// with netsim's lossy delivery model: magic packets are dropped with
 	// the configured probability (deterministically, seeded), retried on
@@ -206,6 +189,18 @@ type Config struct {
 	Departures []Departure
 }
 
+// Request accounting and timer constants.
+const (
+	// serviceSeconds is the base service time of one request (the
+	// CloudSuite web-search SLA is 200 ms).
+	serviceSeconds = 0.05
+	// slaSeconds is the SLA target.
+	slaSeconds = 0.2
+	// timerScanHorizonHours bounds the lookahead when converting a
+	// timer-driven VM's next active hour into an hr-timer.
+	timerScanHorizonHours = simtime.HoursPerYear
+)
+
 // Arrival schedules the creation of a VM during the run. The VM must be
 // fully constructed but not yet added to the cluster.
 type Arrival struct {
@@ -229,15 +224,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestsPerHour == 0 {
 		c.RequestsPerHour = 200
-	}
-	if c.ServiceSeconds == 0 {
-		c.ServiceSeconds = 0.05
-	}
-	if c.SLASeconds == 0 {
-		c.SLASeconds = 0.2
-	}
-	if c.TimerScanHorizonHours == 0 {
-		c.TimerScanHorizonHours = simtime.HoursPerYear
 	}
 	if c.ShardHostSpan == 0 {
 		c.ShardHostSpan = 64
@@ -302,7 +288,7 @@ type vmRT struct {
 // VM→MAC mappings always reflect current residency — management wakes
 // on migration clear stale entries), same-instant engine events of
 // distinct hosts commute, and all cross-shard effects (placement,
-// colocation, model reads by policies) happen in the serial phases.
+// model reads by policies) happen in the serial phases.
 type shard struct {
 	idx    int
 	engine *sim.Engine
@@ -350,7 +336,6 @@ type Result struct {
 	Migrations      int
 	PerVMMigrations []int
 
-	Coloc       *metrics.Colocation
 	Latency     *metrics.LatencyStats
 	WakeLatency *metrics.LatencyStats
 
@@ -397,8 +382,6 @@ type Runner struct {
 	pending []Arrival
 	departs []Departure
 
-	coloc *metrics.Colocation
-
 	// Reused per-round scratch of the serial phases.
 	assignBuf []int
 	snapBuf   []*cluster.Host
@@ -444,18 +427,12 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	if cfg.ShardHostSpan < 0 {
 		panic("dcsim: negative shard host span")
 	}
-	colocN := len(c.VMs()) + len(cfg.Arrivals)
-	if cfg.DisableColocation {
-		// The n×n matrix would be dead quadratic memory per run.
-		colocN = 0
-	}
 	_, blind := policy.(cluster.IdlenessBlind)
 	r := &Runner{
 		cfg:     cfg,
 		cluster: c,
 		policy:  policy,
 		observe: cfg.UseGrace || !blind,
-		coloc:   metrics.NewColocation(colocN),
 	}
 	r.allVMs = append(r.allVMs, c.VMs()...)
 	for _, a := range cfg.Arrivals {
@@ -539,8 +516,8 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		sh := &shard{
 			idx:         s,
 			engine:      sim.New(),
-			latency:     metrics.NewLatencyStats(cfg.SLASeconds),
-			wakeLatency: metrics.NewLatencyStats(cfg.SLASeconds),
+			latency:     metrics.NewLatencyStats(slaSeconds),
+			wakeLatency: metrics.NewLatencyStats(slaSeconds),
 		}
 		if start > 0 {
 			sh.engine.RunUntil(start)
@@ -778,9 +755,6 @@ func (r *Runner) Run() *Result {
 			r.policy.Rebalance(c, hr)
 			r.applyPlacementChanges(before)
 		}
-		if !r.cfg.DisableColocation {
-			r.coloc.RecordHour(r.assignmentsAll())
-		}
 		if timed {
 			r.phaseNanos[0] = int64(time.Since(tPhase))
 			tPhase = time.Now()
@@ -792,7 +766,7 @@ func (r *Runner) Run() *Result {
 		// lands in shard-local collectors, and per-VM entries and models
 		// are touched only by the shard owning the VM's current host
 		// (placement only changes in the serial phases).
-		r.parFor(len(r.shards), func(s int) {
+		par.For(r.cfg.ShardWorkers, len(r.shards), func(s int) {
 			sh := r.shards[s]
 			sh.obsModels = sh.obsModels[:0]
 			sh.obsActs = sh.obsActs[:0]
@@ -813,7 +787,7 @@ func (r *Runner) Run() *Result {
 		// calendar stamp is shared across VMs (it only depends on hr).
 		if r.observe {
 			st := hr.Stamp()
-			r.parFor(len(r.shards), func(s int) {
+			par.For(r.cfg.ShardWorkers, len(r.shards), func(s int) {
 				sh := r.shards[s]
 				core.ObserveColumn(st, sh.obsModels, sh.obsActs)
 			})
@@ -850,46 +824,10 @@ func (r *Runner) Run() *Result {
 	return r.collect()
 }
 
-// parFor runs fn(0..n-1) across the configured shard workers: inline
-// when the effective worker count is 1 (ShardWorkers 1, a single shard,
-// or a single-CPU GOMAXPROCS default) — the serial path adds zero
-// scheduling overhead — and on a work-stealing worker pool otherwise.
-// fn must touch only state owned by index i.
-func (r *Runner) parFor(n int, fn func(int)) {
-	workers := r.cfg.ShardWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // assignmentsAll maps every expected VM (initial + arrivals) to its
-// host ID, with -1 for unplaced or not-yet-created VMs. The returned
-// slice is reused across rounds.
+// host ID, with -1 for unplaced, not-yet-created or departed VMs — the
+// placement a PlacementProbe observes. The returned slice is reused
+// across hours.
 func (r *Runner) assignmentsAll() []int {
 	if cap(r.assignBuf) < len(r.allVMs) {
 		r.assignBuf = make([]int, len(r.allVMs))
@@ -1375,7 +1313,7 @@ func (r *Runner) recordEventRequests(rt *hostRT, vms []*cluster.VM, acts []float
 		if n < w {
 			n = w
 		}
-		lat := r.cfg.ServiceSeconds + penalty
+		lat := serviceSeconds + penalty
 		for j := 0; j < w; j++ {
 			l := lat
 			if j == 0 {
@@ -1387,7 +1325,7 @@ func (r *Runner) recordEventRequests(rt *hostRT, vms []*cluster.VM, acts []float
 			sh.latency.Record(l)
 		}
 		if rest := n - w; rest > 0 {
-			sh.latency.RecordN(r.cfg.ServiceSeconds, rest)
+			sh.latency.RecordN(serviceSeconds, rest)
 		}
 	}
 }
@@ -1434,18 +1372,18 @@ func (r *Runner) recordRequests(rt *hostRT, vms []*cluster.VM, acts []float64, f
 		// All requests cost the base service time except the first one
 		// of the packet-woken VM, which pays the resume latency on top.
 		if v == first && wakePenalty > 0 {
-			lat := r.cfg.ServiceSeconds + wakePenalty
+			lat := serviceSeconds + wakePenalty
 			rt.sh.wakeLatency.Record(lat)
 			rt.sh.latency.Record(lat)
 			n--
 		}
-		rt.sh.latency.RecordN(r.cfg.ServiceSeconds, n)
+		rt.sh.latency.RecordN(serviceSeconds, n)
 	}
 }
 
 // nextActiveHour scans forward for the VM's next hour with activity.
 func (r *Runner) nextActiveHour(v *cluster.VM, from simtime.Hour) (simtime.Hour, bool) {
-	for d := 1; d <= r.cfg.TimerScanHorizonHours; d++ {
+	for d := 1; d <= timerScanHorizonHours; d++ {
 		h := from + simtime.Hour(d)
 		if v.Activity(h) > 0 {
 			return h, true
@@ -1461,12 +1399,11 @@ func (r *Runner) nextActiveHour(v *cluster.VM, from simtime.Hour) (simtime.Hour,
 // worker count — including the pre-shard serial runtime.
 func (r *Runner) collect() *Result {
 	c := r.cluster
-	latency := metrics.NewLatencyStats(r.cfg.SLASeconds)
-	wakeLatency := metrics.NewLatencyStats(r.cfg.SLASeconds)
+	latency := metrics.NewLatencyStats(slaSeconds)
+	wakeLatency := metrics.NewLatencyStats(slaSeconds)
 	res := &Result{
 		Policy:      r.policy.Name(),
 		Hours:       r.cfg.Hours,
-		Coloc:       r.coloc,
 		Latency:     latency,
 		WakeLatency: wakeLatency,
 		Migrations:  c.Migrations(),

@@ -5,6 +5,7 @@ import (
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/drowsy"
+	"drowsydc/internal/metrics"
 	"drowsydc/internal/neat"
 	"drowsydc/internal/oasis"
 	"drowsydc/internal/power"
@@ -156,17 +157,50 @@ func TestNaiveResumeSlower(t *testing.T) {
 	}
 }
 
+// colocProbe is the tests' placement probe: it records the colocation
+// matrix and counts each VM's host changes between recorded hours.
+type colocProbe struct {
+	*metrics.Colocation
+	last  []int // last host of each VM, -1 before its first placement
+	moves []int
+}
+
+func newColocProbe(n int) *colocProbe {
+	p := &colocProbe{Colocation: metrics.NewColocation(n), last: make([]int, n), moves: make([]int, n)}
+	for i := range p.last {
+		p.last[i] = -1
+	}
+	return p
+}
+
+func (p *colocProbe) ObserveHour(HourSample) {}
+
+func (p *colocProbe) ObservePlacement(hosts []int) {
+	p.RecordHour(hosts)
+	for i, h := range hosts {
+		if h < 0 {
+			continue
+		}
+		if p.last[i] >= 0 && h != p.last[i] {
+			p.moves[i]++
+		}
+		p.last[i] = h
+	}
+}
+
 func TestColocationOfMatchingPair(t *testing.T) {
-	res := runPolicy(t, "drowsy", 21*24, true, true)
+	coloc := newColocProbe(8)
+	res := NewRunner(Config{Hours: 21 * 24, EnableSuspend: true, UseGrace: true, Probe: coloc},
+		testbed(), drowsy.New(drowsy.Options{FullRelocation: true})).Run()
 	// V3 (index 2) and V4 (index 3) share a workload: they must
 	// converge onto one host and stay (paper Figure 2: 76% over a week;
 	// with our σ-scaled models the convergence takes longer, but the
 	// steady state is the same).
-	if f := res.Coloc.Fraction(2, 3); f < 0.4 {
+	if f := coloc.Fraction(2, 3); f < 0.4 {
 		t.Fatalf("V3/V4 colocation %.2f < 0.4", f)
 	}
 	// LLMU pair V1/V2 likewise (paper: 85%).
-	if f := res.Coloc.Fraction(0, 1); f < 0.4 {
+	if f := coloc.Fraction(0, 1); f < 0.4 {
 		t.Fatalf("V1/V2 colocation %.2f < 0.4", f)
 	}
 	// Migration counts stay small (paper: ≤ 3 per VM over a week).
@@ -327,11 +361,13 @@ func TestMidRunArrival(t *testing.T) {
 	c.AddVM(resident)
 	_ = c.Place(resident, c.Hosts()[0])
 	newcomer := cluster.NewVM(1, "newcomer", cluster.KindLLMI, 6, 2, trace.RealTrace(1))
+	coloc := newColocProbe(2)
 	r := NewRunner(Config{
 		Hours:         5 * 24,
 		EnableSuspend: true,
 		UseGrace:      true,
 		Arrivals:      []Arrival{{At: 48, VM: newcomer}},
+		Probe:         coloc,
 	}, c, drowsy.New(drowsy.Options{FullRelocation: true}))
 	res := r.Run()
 	if newcomer.Host() == nil {
@@ -342,11 +378,11 @@ func TestMidRunArrival(t *testing.T) {
 	}
 	// Colocation before hour 48 must be zero (it did not exist), and
 	// the same-workload pair should co-run afterwards.
-	if f := res.Coloc.Fraction(0, 1); f <= 0 || f > float64(3*24)/float64(5*24)+0.01 {
+	if f := coloc.Fraction(0, 1); f <= 0 || f > float64(3*24)/float64(5*24)+0.01 {
 		t.Fatalf("colocation fraction %v inconsistent with a day-2 arrival", f)
 	}
-	if res.Coloc.Migrations(1) > 3 {
-		t.Fatalf("newcomer migrated %d times", res.Coloc.Migrations(1))
+	if coloc.moves[1] > 3 {
+		t.Fatalf("newcomer migrated %d times", coloc.moves[1])
 	}
 }
 
@@ -376,12 +412,14 @@ func TestSLMULifecycle(t *testing.T) {
 	c.AddVM(resident)
 	_ = c.Place(resident, c.Hosts()[0])
 	job := cluster.NewVM(1, "mapreduce", cluster.KindSLMU, 6, 2, trace.SLMU(24, 48, 0.9))
+	coloc := newColocProbe(2)
 	r := NewRunner(Config{
 		Hours:         6 * 24,
 		EnableSuspend: true,
 		UseGrace:      true,
 		Arrivals:      []Arrival{{At: 24, VM: job}},
 		Departures:    []Departure{{At: 3 * 24, VM: job}},
+		Probe:         coloc,
 	}, c, neat.New(neat.Options{}))
 	res := r.Run()
 	if job.Host() != nil {
@@ -395,7 +433,7 @@ func TestSLMULifecycle(t *testing.T) {
 	}
 	// The job co-ran with nothing after departure: colocation fraction
 	// bounded by its 2-day residency over the 6-day run.
-	if f := res.Coloc.Fraction(1, 1); f > 2.0/6+0.01 {
+	if f := coloc.Fraction(1, 1); f > 2.0/6+0.01 {
 		t.Fatalf("departed VM colocation with itself = %v; should stop accruing", f)
 	}
 	if err := c.CheckInvariants(); err != nil {

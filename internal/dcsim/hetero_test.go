@@ -1,11 +1,11 @@
-package dcsim_test
+package dcsim
 
 import (
 	"testing"
 
 	"drowsydc/internal/cluster"
-	"drowsydc/internal/dcsim"
-	"drowsydc/internal/exp"
+	"drowsydc/internal/drowsy"
+	"drowsydc/internal/neat"
 	"drowsydc/internal/power"
 	"drowsydc/internal/trace"
 )
@@ -36,10 +36,10 @@ func TestHostProfilesEnergy(t *testing.T) {
 	legacy.IdleWatts *= 2
 	legacy.PeakWatts *= 2
 	legacy.SuspendedWatts *= 2
-	res := dcsim.NewRunner(dcsim.Config{
+	res := NewRunner(Config{
 		Hours:        7 * 24,
 		HostProfiles: map[int]power.Profile{1: legacy},
-	}, heteroCluster(), exp.NewPolicy("neat")).Run()
+	}, heteroCluster(), neat.New(neat.Options{})).Run()
 	if len(res.HostEnergyKWh) != 2 {
 		t.Fatalf("want 2 host energies, got %d", len(res.HostEnergyKWh))
 	}
@@ -56,18 +56,18 @@ func TestHostProfilesEnergy(t *testing.T) {
 // TestHostProfilesDefaultIdentical asserts that an empty override map is
 // byte-for-byte the homogeneous configuration.
 func TestHostProfilesDefaultIdentical(t *testing.T) {
-	run := func(hp map[int]power.Profile) *dcsim.Result {
-		return dcsim.NewRunner(dcsim.Config{
+	run := func(hp map[int]power.Profile) *Result {
+		return NewRunner(Config{
 			Hours:         7 * 24,
 			EnableSuspend: true,
 			UseGrace:      true,
 			HostProfiles:  hp,
-		}, exp.BuildCluster(4, 16, 4, 2, exp.TestbedSpecs()), exp.NewPolicy("drowsy-full")).Run()
+		}, testbed(), drowsy.New(drowsy.Options{FullRelocation: true})).Run()
 	}
 	base := run(nil)
 	withEmpty := run(map[int]power.Profile{})
 	withSame := run(map[int]power.Profile{2: power.DefaultProfile()})
-	for name, r := range map[string]*dcsim.Result{"empty-map": withEmpty, "same-profile": withSame} {
+	for name, r := range map[string]*Result{"empty-map": withEmpty, "same-profile": withSame} {
 		if r.EnergyKWh != base.EnergyKWh || r.Migrations != base.Migrations ||
 			r.GlobalSuspFrac != base.GlobalSuspFrac ||
 			r.Latency.SLAFraction() != base.Latency.SLAFraction() {

@@ -113,6 +113,17 @@ type probeTotals struct {
 	pairEvals   uint64
 }
 
+// PlacementProbe is an optional Probe extension: a probe that also
+// implements it receives, right after each hour's sample, the hour's
+// placement — hosts[i] is the host ID of the run's i'th VM (the
+// cluster's initial VMs, then the scheduled arrivals: Result's
+// PerVMMigrations order), or -1 while that VM is unplaced, not yet
+// created or departed. The slice is reused across hours, so a probe
+// must not retain it. Figure 2's colocation matrix is recorded this way.
+type PlacementProbe interface {
+	ObservePlacement(hosts []int)
+}
+
 // pairEvaluator is the optional policy surface the probe reads
 // consolidation search effort from (implemented by oasis.Policy).
 type pairEvaluator interface {
@@ -207,4 +218,7 @@ func (r *Runner) probeHour(i int, hr simtime.Hour) {
 	}
 	r.probePrev = cur
 	r.cfg.Probe.ObserveHour(s)
+	if pp, ok := r.cfg.Probe.(PlacementProbe); ok {
+		pp.ObservePlacement(r.assignmentsAll())
+	}
 }

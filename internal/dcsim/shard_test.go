@@ -39,6 +39,12 @@ func shardedFleet(hosts int) *cluster.Cluster {
 // runSharded runs a drowsy simulation over the given fleet with an
 // explicit worker count and shard span.
 func runSharded(hosts, hours, workers, span int, churn bool) *Result {
+	c, cfg := shardedRun(hosts, hours, workers, span, churn)
+	return NewRunner(cfg, c, drowsy.New(drowsy.Options{FullRelocation: true})).Run()
+}
+
+// shardedRun builds runSharded's fleet and configuration.
+func shardedRun(hosts, hours, workers, span int, churn bool) (*cluster.Cluster, Config) {
 	c := shardedFleet(hosts)
 	cfg := Config{
 		Hours:         hours,
@@ -62,7 +68,7 @@ func runSharded(hosts, hours, workers, span int, churn bool) *Result {
 			{At: 96, VM: n2},
 		}
 	}
-	return NewRunner(cfg, c, drowsy.New(drowsy.Options{FullRelocation: true})).Run()
+	return c, cfg
 }
 
 // requireIdenticalResults asserts two runs are bit-identical, field by
@@ -99,9 +105,6 @@ func requireIdenticalResults(t *testing.T, label string, want, got *Result) {
 	}
 	if want.EventHours != got.EventHours {
 		t.Errorf("%s: event hours %d != %d", label, got.EventHours, want.EventHours)
-	}
-	if !reflect.DeepEqual(want.Coloc, got.Coloc) {
-		t.Errorf("%s: colocation matrix diverged", label)
 	}
 }
 
@@ -145,11 +148,66 @@ func TestCrossShardChurnEquivalence(t *testing.T) {
 	}
 }
 
-// TestAssignmentsAllReusesBuffer pins the per-hour colocation snapshot
+// placementLog is a placement probe that checks each hour's placement
+// against the live cluster and keeps a copy of the stream.
+type placementLog struct {
+	t   *testing.T
+	vms []*cluster.VM // the run's VMs in reporting order
+	log [][]int
+}
+
+func (p *placementLog) ObserveHour(HourSample) {}
+
+func (p *placementLog) ObservePlacement(hosts []int) {
+	if len(hosts) != len(p.vms) {
+		p.t.Fatalf("hour %d: placement of %d VMs, want %d", len(p.log), len(hosts), len(p.vms))
+	}
+	for i, v := range p.vms {
+		want := -1
+		if h := v.Host(); h != nil {
+			want = h.ID
+		}
+		if hosts[i] != want {
+			p.t.Errorf("hour %d: VM %s on host %d, probe saw %d", len(p.log), v.Name, want, hosts[i])
+		}
+	}
+	p.log = append(p.log, append([]int(nil), hosts...))
+}
+
+// TestPlacementProbeSeesEveryHour: a placement probe receives every
+// VM's host once per hour — arrivals before they exist and departed
+// VMs as -1 — and the stream is identical serial and sharded.
+func TestPlacementProbeSeesEveryHour(t *testing.T) {
+	run := func(workers int) [][]int {
+		c, cfg := shardedRun(16, 7*24, workers, 2, true)
+		p := &placementLog{t: t, vms: append([]*cluster.VM(nil), c.VMs()...)}
+		for _, a := range cfg.Arrivals {
+			p.vms = append(p.vms, a.VM)
+		}
+		cfg.Probe = p
+		NewRunner(cfg, c, drowsy.New(drowsy.Options{FullRelocation: true})).Run()
+		if len(p.log) != cfg.Hours {
+			t.Fatalf("workers=%d: %d placements over %d hours", workers, len(p.log), cfg.Hours)
+		}
+		return p.log
+	}
+	serial := run(1)
+	// The first arrival (index 16) exists from hour 48; VM 0 departs at
+	// hour 96.
+	if serial[47][16] != -1 || serial[48][16] < 0 || serial[95][0] < 0 || serial[96][0] != -1 {
+		t.Fatalf("churn invisible to the probe: arrival %d→%d, departure %d→%d",
+			serial[47][16], serial[48][16], serial[95][0], serial[96][0])
+	}
+	for _, workers := range []int{2, 8} {
+		if !reflect.DeepEqual(serial, run(workers)) {
+			t.Fatalf("workers=%d: placement stream differs from the serial run", workers)
+		}
+	}
+}
+
+// TestAssignmentsAllReusesBuffer pins the per-hour placement snapshot
 // to its pooled buffer: after the first call, taking an assignment
-// snapshot must not allocate. (The pooling itself landed with the
-// colocation fast path; this regression test is what was still
-// missing.)
+// snapshot must not allocate.
 func TestAssignmentsAllReusesBuffer(t *testing.T) {
 	c := shardedFleet(8)
 	r := NewRunner(Config{Hours: 24, ShardHostSpan: 2},

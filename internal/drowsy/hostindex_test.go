@@ -337,7 +337,7 @@ func TestProductionRebalanceMatchesLinearReference(t *testing.T) {
 	for hr := simtime.Hour(0); hr < 7*24; hr++ {
 		for _, c := range []*cluster.Cluster{a, b} {
 			for _, v := range c.VMs() {
-				v.Observe(hr, v.Activity(hr))
+				v.Model.Observe(simtime.Decompose(hr), v.Activity(hr))
 			}
 		}
 		p.RecordHour(a, hr)
@@ -376,7 +376,7 @@ func BenchmarkProductionRound(b *testing.B) {
 		const trained = 48
 		for hr := simtime.Hour(0); hr < trained; hr++ {
 			for _, v := range c.VMs() {
-				v.Observe(hr, v.Activity(hr))
+				v.Model.Observe(simtime.Decompose(hr), v.Activity(hr))
 			}
 			ref.neat.RecordHour(c, hr)
 		}

@@ -13,7 +13,7 @@ import (
 func train(vms []*cluster.VM, hours int) {
 	for _, v := range vms {
 		for h := simtime.Hour(0); h < simtime.Hour(hours); h++ {
-			v.Observe(h, v.Activity(h))
+			v.Model.Observe(simtime.Decompose(h), v.Activity(h))
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestFullRelocationPairsMatchingTraces(t *testing.T) {
 	// Three weeks of hourly observation + relocation.
 	for h := simtime.Hour(0); h < 21*24; h++ {
 		for _, v := range vms {
-			v.Observe(h, v.Activity(h))
+			v.Model.Observe(simtime.Decompose(h), v.Activity(h))
 		}
 		p.Rebalance(c, h+1)
 	}

@@ -5,23 +5,9 @@ import (
 	"testing"
 
 	"drowsydc/internal/dcsim"
+	"drowsydc/internal/scenario"
 	"drowsydc/internal/simtime"
-	"drowsydc/internal/trace"
 )
-
-// runTestbedOn runs the testbed scenario with VM i reading its
-// activity from srcs[i], holding everything else fixed.
-func runTestbedOn(srcs []trace.Source) *dcsim.Result {
-	c := BuildCluster(4, 16, 4, 2, TestbedSpecs())
-	for _, v := range c.VMs() {
-		v.Wire(srcs[v.ID], nil, v.TimelineSeed())
-	}
-	return dcsim.NewRunner(dcsim.Config{
-		Hours:         7 * 24,
-		EnableSuspend: true,
-		UseGrace:      true,
-	}, c, NewPolicy("drowsy-full")).Run()
-}
 
 // requireIdenticalResults compares every headline number of two runs
 // exactly — memoization and parallelism must be observably
@@ -66,11 +52,11 @@ func requireIdenticalResults(t *testing.T, a, b *dcsim.Result, what string) {
 // suspension, migration and SLA numbers (generators are pure, so the
 // memo's state must be invisible).
 func TestCachingPreservesSemantics(t *testing.T) {
-	var srcs []trace.Source
-	for _, s := range TestbedSpecs() {
-		srcs = append(srcs, trace.NewSource(s.Gen))
-	}
-	requireIdenticalResults(t, runTestbedOn(srcs), runTestbedOn(srcs), "cold/warm memos")
+	sc := testbed(7, dcsim.ResolutionHourly, scenario.DefaultPolicies()[0])
+	opt := scenario.Options{Stores: scenario.NewStoreCache()}
+	cold := simulate(sc, opt)[0]
+	warm := simulate(sc, opt)[0]
+	requireIdenticalResults(t, cold, warm, "cold/warm memos")
 }
 
 // TestSweepSerialParallelIdentical runs the §VI-B sweep serially and on
@@ -116,7 +102,7 @@ func TestTrainHoursParallelIdentical(t *testing.T) {
 	naive := ScalingCluster(n)
 	for h := simtime.Hour(0); h < hours; h++ {
 		for _, v := range naive.VMs() {
-			v.Observe(h, v.Activity(h))
+			v.Model.Observe(simtime.Decompose(h), v.Activity(h))
 		}
 	}
 	for _, workers := range []int{1, 4} {

@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: one runner per table and
 // figure of the paper's evaluation (§VI), each regenerating the
-// corresponding rows/series from the simulated substrate. The CLI
-// (cmd/drowsyctl) and the benchmark suite (bench_test.go) are thin
+// corresponding rows/series from the simulated substrate. The simulated
+// artifacts declare their fleet as a scenario.Scenario and run through
+// scenario.Simulate, the one path that builds a simulation runtime. The
+// CLI (cmd/drowsyctl) and the benchmark suite (bench_test.go) are thin
 // wrappers over this package.
 package exp
 
@@ -11,93 +13,54 @@ import (
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/dcsim"
-	"drowsydc/internal/drowsy"
-	"drowsydc/internal/neat"
-	"drowsydc/internal/oasis"
+	"drowsydc/internal/scenario"
 	"drowsydc/internal/trace"
 )
 
-// VMSpec describes one VM of an experiment population.
-type VMSpec struct {
-	Name        string
-	Kind        cluster.Kind
-	MemGB       int
-	VCPUs       int
-	Gen         trace.Generator
-	TimerDriven bool
-	// InitialHost pins the starting placement (-1 lets the policy
-	// decide).
-	InitialHost int
-}
-
-// BuildCluster materializes hosts and VMs.
-func BuildCluster(nHosts, hostMemGB, hostVCPUs, slots int, specs []VMSpec) *cluster.Cluster {
-	c := cluster.New()
-	for i := 0; i < nHosts; i++ {
-		c.AddHost(cluster.NewHost(i, fmt.Sprintf("P%d", i+2), hostMemGB, hostVCPUs, slots))
-	}
-	for i, s := range specs {
-		v := cluster.NewVM(i, s.Name, s.Kind, s.MemGB, s.VCPUs, s.Gen)
-		v.TimerDriven = s.TimerDriven
-		c.AddVM(v)
-		if s.InitialHost >= 0 {
-			if err := c.Place(v, c.Hosts()[s.InitialHost]); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return c
-}
-
-// TestbedSpecs returns the paper's §VI-A population: 2 LLMU VMs (V1,
-// V2, initially on distinct machines, V2 on P2) and 6 LLMI VMs driven
-// by the production-like traces, V3 and V4 receiving the exact same
+// TestbedGroups returns the paper's §VI-A population, one single-VM
+// group per VM pinned to its starting host: 2 LLMU VMs (V1, V2,
+// initially on distinct machines, V2 on P2) and 6 LLMI VMs driven by
+// the production-like traces, V3 and V4 receiving the exact same
 // workload.
-func TestbedSpecs() []VMSpec {
-	return []VMSpec{
-		{Name: "V1", Kind: cluster.KindLLMU, MemGB: 6, VCPUs: 2, Gen: trace.LLMU(11), InitialHost: 1},
-		{Name: "V2", Kind: cluster.KindLLMU, MemGB: 6, VCPUs: 2, Gen: trace.LLMU(22), InitialHost: 0},
-		{Name: "V3", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(1), InitialHost: 0},
-		{Name: "V4", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(1), InitialHost: 1},
-		{Name: "V5", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(3), InitialHost: 2},
-		{Name: "V6", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(4), InitialHost: 3},
-		{Name: "V7", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(5), InitialHost: 2},
-		{Name: "V8", Kind: cluster.KindLLMI, MemGB: 6, VCPUs: 2, Gen: trace.RealTrace(2), InitialHost: 3},
+func TestbedGroups() []scenario.WorkloadGroup {
+	vm := func(name string, kind cluster.Kind, gen trace.Generator, host int) scenario.WorkloadGroup {
+		return scenario.WorkloadGroup{Name: name, Count: 1, Kind: kind, MemGB: 6, VCPUs: 2,
+			Gen: gen, Replicated: true, StartHost: host}
+	}
+	return []scenario.WorkloadGroup{
+		vm("V1", cluster.KindLLMU, trace.LLMU(11), 2),
+		vm("V2", cluster.KindLLMU, trace.LLMU(22), 1),
+		vm("V3", cluster.KindLLMI, trace.RealTrace(1), 1),
+		vm("V4", cluster.KindLLMI, trace.RealTrace(1), 2),
+		vm("V5", cluster.KindLLMI, trace.RealTrace(3), 3),
+		vm("V6", cluster.KindLLMI, trace.RealTrace(4), 4),
+		vm("V7", cluster.KindLLMI, trace.RealTrace(5), 3),
+		vm("V8", cluster.KindLLMI, trace.RealTrace(2), 4),
 	}
 }
 
-// policyConstructors is the single source of policy names, shared by
-// NewPolicy and ValidPolicy so the two cannot drift.
-var policyConstructors = map[string]func() cluster.Policy{
-	"drowsy":      func() cluster.Policy { return drowsy.New(drowsy.Options{}) },
-	"drowsy-full": func() cluster.Policy { return drowsy.New(drowsy.Options{FullRelocation: true}) },
-	"neat":        func() cluster.Policy { return neat.New(neat.Options{}) },
-	"oasis":       func() cluster.Policy { return oasis.New(oasis.Options{}) },
-	// The reference Oasis selection (full score-materialize-and-sort):
-	// decisions are bit-identical to "oasis"; the cost and the
-	// scored/pruned split of PairEvaluations differ (the indexed mode
-	// never runs sticky checks on bound-pruned pairs). The old-vs-new
-	// equivalence suite runs both on every family.
-	"oasis-exhaustive": func() cluster.Policy { return oasis.New(oasis.Options{Exhaustive: true}) },
-}
-
-// ValidPolicy reports whether name is a policy NewPolicy can build,
-// for callers that validate configurations before fanning out (a bad
-// name would otherwise panic on a worker goroutine).
-func ValidPolicy(name string) bool {
-	_, ok := policyConstructors[name]
-	return ok
-}
-
-// NewPolicy constructs a policy by name: "drowsy" (production mode),
-// "drowsy-full" (periodic full relocation, the testbed evaluation
-// mode), "neat", or "oasis".
-func NewPolicy(name string) cluster.Policy {
-	ctor, ok := policyConstructors[name]
-	if !ok {
-		panic(fmt.Sprintf("exp: unknown policy %q", name))
+// testbed declares the §VI-A experiment — 4 pool hosts (P2–P5) with 2
+// slots each, holding the TestbedGroups population — under the given
+// policy columns.
+func testbed(days int, res dcsim.Resolution, cols ...scenario.PolicyConfig) scenario.Scenario {
+	return scenario.Scenario{
+		Name:         "testbed",
+		HorizonHours: days * 24,
+		Hosts:        []scenario.HostClass{{Name: "P", Count: 4, MemGB: 16, VCPUs: 4, Slots: 2}},
+		Groups:       TestbedGroups(),
+		Policies:     cols,
+		Resolution:   res,
 	}
-	return ctor()
+}
+
+// simulate runs a scenario the harness declared. Such a scenario is
+// valid by construction, so an error is a bug, not an input problem.
+func simulate(sc scenario.Scenario, opt scenario.Options) []*dcsim.Result {
+	res, err := scenario.Simulate(sc, opt)
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // RunTestbedPolicy executes the testbed under one policy configuration.
@@ -109,14 +72,8 @@ func RunTestbedPolicy(policy string, days int, enableSuspend, useGrace bool) *dc
 // resolution, so the sub-hourly event mode can be benchmarked on the
 // exact workload the hourly baseline benchmarks run.
 func RunTestbedPolicyAt(policy string, days int, enableSuspend, useGrace bool, res dcsim.Resolution) *dcsim.Result {
-	c := BuildCluster(4, 16, 4, 2, TestbedSpecs())
-	r := dcsim.NewRunner(dcsim.Config{
-		Hours:         days * 24,
-		EnableSuspend: enableSuspend,
-		UseGrace:      useGrace,
-		Resolution:    res,
-	}, c, NewPolicy(policy))
-	return r.Run()
+	col := scenario.PolicyConfig{Label: policy, Policy: policy, Suspend: enableSuspend, Grace: useGrace}
+	return simulate(testbed(days, res, col), scenario.Options{})[0]
 }
 
 // writef writes formatted text, ignoring errors (experiment renderers

@@ -159,17 +159,3 @@ func TestRenderTable2(t *testing.T) {
 		}
 	}
 }
-
-func TestNewPolicyNames(t *testing.T) {
-	for _, n := range []string{"drowsy", "drowsy-full", "neat", "oasis", "oasis-exhaustive"} {
-		if NewPolicy(n) == nil {
-			t.Fatalf("policy %s nil", n)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown policy should panic")
-		}
-	}()
-	NewPolicy("bogus")
-}

@@ -8,6 +8,8 @@ import (
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/metrics"
 	"drowsydc/internal/ossim"
+	"drowsydc/internal/par"
+	"drowsydc/internal/scenario"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/suspend"
 	"drowsydc/internal/trace"
@@ -65,7 +67,25 @@ type TestbedResult struct {
 	Drowsy      *dcsim.Result
 	NeatS3      *dcsim.Result
 	NeatVanilla *dcsim.Result
+	// Coloc is the Drowsy-DC run's colocation matrix (Figure 2).
+	Coloc *metrics.Colocation
 }
+
+// ColocationProbe records Figure 2's colocation matrix from a run's
+// hourly placements (it is a dcsim.PlacementProbe) and ignores the hour
+// samples.
+type ColocationProbe struct{ *metrics.Colocation }
+
+// NewColocationProbe returns a probe for a run of n VMs.
+func NewColocationProbe(n int) ColocationProbe {
+	return ColocationProbe{metrics.NewColocation(n)}
+}
+
+// ObserveHour implements dcsim.Probe.
+func (ColocationProbe) ObserveHour(dcsim.HourSample) {}
+
+// ObservePlacement implements dcsim.PlacementProbe.
+func (p ColocationProbe) ObservePlacement(hosts []int) { p.RecordHour(hosts) }
 
 // RunTestbed runs all three configurations of the §VI-A experiment,
 // concurrently (each on its own cluster). Use RunTestbedWorkers(days,
@@ -75,23 +95,24 @@ func RunTestbed(days int) *TestbedResult { return RunTestbedWorkers(days, 0) }
 // RunTestbedWorkers is RunTestbed with an explicit worker bound
 // (0 = GOMAXPROCS, 1 = serial).
 func RunTestbedWorkers(days, workers int) *TestbedResult {
-	specs := TestbedSpecs()
-	res := &TestbedResult{Days: days}
-	for _, s := range specs {
-		res.VMNames = append(res.VMNames, s.Name)
+	res := &TestbedResult{Days: days, HostNames: []string{"P2", "P3", "P4", "P5"}}
+	groups := TestbedGroups()
+	for _, g := range groups {
+		res.VMNames = append(res.VMNames, g.Name)
 	}
-	res.HostNames = []string{"P2", "P3", "P4", "P5"}
-	runs := ParMap(workers, 3, func(i int) *dcsim.Result {
-		switch i {
-		case 0:
-			return RunTestbedPolicy("drowsy-full", days, true, true)
-		case 1:
-			return RunTestbedPolicy("neat", days, true, false)
-		default:
-			return RunTestbedPolicy("neat", days, false, false)
-		}
+	coloc := NewColocationProbe(len(groups))
+	// The first three default columns are the testbed's: drowsy-full
+	// with suspension and grace, Neat with suspension, vanilla Neat.
+	runs := simulate(testbed(days, dcsim.ResolutionHourly, scenario.DefaultPolicies()[:3]...), scenario.Options{
+		Workers: workers,
+		Probe: func(cell int, _ string) dcsim.Probe {
+			if cell == 0 {
+				return coloc
+			}
+			return nil
+		},
 	})
-	res.Drowsy, res.NeatS3, res.NeatVanilla = runs[0], runs[1], runs[2]
+	res.Drowsy, res.NeatS3, res.NeatVanilla, res.Coloc = runs[0], runs[1], runs[2], coloc.Colocation
 	return res
 }
 
@@ -102,11 +123,10 @@ func (r *TestbedResult) RenderFigure2(w io.Writer) {
 		writef(w, "%5s", n)
 	}
 	writef(w, "  #mig\n")
-	col := r.Drowsy.Coloc
 	for i, n := range r.VMNames {
 		writef(w, "%5s", n)
 		for j := range r.VMNames {
-			writef(w, "%5.0f", 100*col.Fraction(i, j))
+			writef(w, "%5.0f", 100*r.Coloc.Fraction(i, j))
 		}
 		writef(w, "  %4d\n", r.Drowsy.PerVMMigrations[i])
 	}
@@ -167,7 +187,7 @@ func RunFigure4(years int) []Figure4Trace { return RunFigure4Workers(years, 0) }
 // (0 = GOMAXPROCS, 1 = serial).
 func RunFigure4Workers(years, workers int) []Figure4Trace {
 	gens := trace.TableII()
-	return ParMap(workers, len(gens), func(i int) Figure4Trace {
+	return par.Map(workers, len(gens), func(i int) Figure4Trace {
 		g := gens[i]
 		m := core.New()
 		win := metrics.NewWindowed(7 * 24)

@@ -9,6 +9,8 @@ import (
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/drowsy"
 	"drowsydc/internal/oasis"
+	"drowsydc/internal/par"
+	"drowsydc/internal/scenario"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -57,11 +59,12 @@ type SimPoint struct {
 	ImprovVsOasis  float64
 }
 
-// population builds a mixed VM population: llmiFrac of the VMs are LLMI
-// (drawn from the production-like trace classes with phase-shifted
-// variants), the rest LLMU.
-func population(n int, llmiFrac float64) []VMSpec {
-	specs := make([]VMSpec, 0, n)
+// population builds a mixed VM population, one single-VM group per VM
+// for the policy to place: llmiFrac of the VMs are LLMI (drawn from the
+// production-like trace classes with phase-shifted variants), the rest
+// LLMU.
+func population(n int, llmiFrac float64) []scenario.WorkloadGroup {
+	groups := make([]scenario.WorkloadGroup, 0, n)
 	nLLMI := int(llmiFrac*float64(n) + 0.5)
 	for i := 0; i < n; i++ {
 		var g trace.Generator
@@ -81,51 +84,44 @@ func population(n int, llmiFrac float64) []VMSpec {
 		} else {
 			g = trace.LLMU(uint64(9000 + i))
 		}
-		specs = append(specs, VMSpec{
+		groups = append(groups, scenario.WorkloadGroup{
 			Name:        fmt.Sprintf("vm%03d", i),
+			Count:       1,
 			Kind:        kind,
 			MemGB:       4,
 			VCPUs:       2,
 			Gen:         g,
+			Replicated:  true,
 			TimerDriven: timer,
-			InitialHost: -1,
 		})
 	}
-	return specs
+	return groups
 }
 
 // RunSimulation executes the LLMI-fraction sweep under the four
-// configurations. The (fraction × configuration) grid cells are
-// independent deterministic runs, fanned out over cfg.Workers.
+// configurations: one scenario per fraction, its four policy columns
+// (drowsy, neat+S3, vanilla neat, oasis) independent deterministic
+// runs. Fractions and columns both fan out over cfg.Workers.
 func RunSimulation(cfg SimConfig) []SimPoint {
 	nVMs := cfg.Hosts * cfg.Slots * 3 / 4 // 75% occupancy: consolidation has room
-	const cellsPerFrac = 4                // drowsy, neat+S3, vanilla neat, oasis
-	results := ParMap(cfg.Workers, len(cfg.Fractions)*cellsPerFrac, func(i int) *dcsim.Result {
-		frac := cfg.Fractions[i/cellsPerFrac]
-		var policy cluster.Policy
-		var suspendOn, grace bool
-		switch i % cellsPerFrac {
-		case 0:
-			policy, suspendOn, grace = drowsy.New(drowsy.Options{FullRelocation: true}), true, true
-		case 1:
-			policy, suspendOn = NewPolicy("neat"), true
-		case 2:
-			policy = NewPolicy("neat")
-		case 3:
-			policy, suspendOn = oasis.New(oasis.Options{Window: 72}), true
-		}
-		c := BuildCluster(cfg.Hosts, 4*cfg.Slots, 2*cfg.Slots, cfg.Slots, population(nVMs, frac))
-		return dcsim.NewRunner(dcsim.Config{
-			Hours:           cfg.Days * 24,
-			EnableSuspend:   suspendOn,
-			UseGrace:        grace,
+	cols := scenario.DefaultPolicies()
+	cols[3].New = func() cluster.Policy { return oasis.New(oasis.Options{Window: 72}) }
+	hosts := []scenario.HostClass{{Name: "P", Count: cfg.Hosts,
+		MemGB: 4 * cfg.Slots, VCPUs: 2 * cfg.Slots, Slots: cfg.Slots}}
+	results := par.Map(cfg.Workers, len(cfg.Fractions), func(fi int) []*dcsim.Result {
+		return simulate(scenario.Scenario{
+			Name:            "simulation",
+			HorizonHours:    cfg.Days * 24,
+			Hosts:           hosts,
+			Groups:          population(nVMs, cfg.Fractions[fi]),
 			RebalanceEvery:  cfg.RebalanceEvery,
 			RequestsPerHour: 50,
-		}, c, policy).Run()
+			Policies:        cols,
+		}, scenario.Options{Workers: cfg.Workers})
 	})
 	var out []SimPoint
 	for fi, frac := range cfg.Fractions {
-		cell := results[fi*cellsPerFrac : (fi+1)*cellsPerFrac]
+		cell := results[fi]
 		p := SimPoint{
 			LLMIFraction: frac,
 			DrowsyKWh:    cell[0].EnergyKWh,
@@ -175,7 +171,7 @@ func RunScaling(sizes []int) []ScalePoint { return RunScalingWorkers(sizes, 0) }
 // RunScalingWorkers is RunScaling with an explicit worker bound
 // (0 = GOMAXPROCS, 1 = serial).
 func RunScalingWorkers(sizes []int, workers int) []ScalePoint {
-	evals := ParMap(workers, len(sizes)*2, func(i int) uint64 {
+	evals := par.Map(workers, len(sizes)*2, func(i int) uint64 {
 		n := sizes[i/2]
 		c := ScalingCluster(n)
 		if i%2 == 0 {
@@ -201,22 +197,25 @@ func RunScalingWorkers(sizes []int, workers int) []ScalePoint {
 // callers needing trained idleness models feed observations themselves
 // (Oasis reads only activity, so its benchmarks skip that).
 func ScalingCluster(n int) *cluster.Cluster {
-	c := BuildCluster((n+3)/4, 16, 8, 4, population(n, 1.0))
-	seedPlacement(c)
-	return c
-}
-
-func seedPlacement(c *cluster.Cluster) {
+	c := cluster.New()
+	for i := 0; i < (n+3)/4; i++ {
+		c.AddHost(cluster.NewHost(i, fmt.Sprintf("P%d", i+2), 16, 8, 4))
+	}
+	hosts := c.Hosts()
 	hi := 0
-	for _, v := range c.VMs() {
-		for !c.Hosts()[hi%len(c.Hosts())].CanHost(v) {
+	for i, g := range population(n, 1.0) {
+		v := cluster.NewVM(i, g.Name, g.Kind, g.MemGB, g.VCPUs, g.Gen)
+		v.TimerDriven = g.TimerDriven
+		c.AddVM(v)
+		for !hosts[hi%len(hosts)].CanHost(v) {
 			hi++
 		}
-		if err := c.Place(v, c.Hosts()[hi%len(c.Hosts())]); err != nil {
+		if err := c.Place(v, hosts[hi%len(hosts)]); err != nil {
 			panic(err)
 		}
 		hi++
 	}
+	return c
 }
 
 // trainHours feeds every VM its first `hours` activity samples,
@@ -235,7 +234,7 @@ func trainHoursWorkers(c *cluster.Cluster, hours, workers int) {
 	vms := c.VMs()
 	const chunk = 64
 	chunks := (len(vms) + chunk - 1) / chunk
-	ParMap(workers, chunks, func(ci int) struct{} {
+	par.For(workers, chunks, func(ci int) {
 		part := vms[ci*chunk : min((ci+1)*chunk, len(vms))]
 		models := make([]*core.Model, len(part))
 		acts := make([]float64, len(part))
@@ -248,7 +247,6 @@ func trainHoursWorkers(c *cluster.Cluster, hours, workers int) {
 			}
 			core.ObserveColumn(simtime.Decompose(h), models, acts)
 		}
-		return struct{}{}
 	})
 }
 

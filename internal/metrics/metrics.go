@@ -212,23 +212,18 @@ func (w *WakeStats) Merge(o WakeStats) {
 // Colocation matrix (Figure 2)
 
 // Colocation tracks, hour by hour, which VMs share a host, producing the
-// colocation-percentage matrix of Figure 2 plus per-VM migration counts.
+// colocation-percentage matrix of Figure 2.
 type Colocation struct {
-	n          int
-	hours      int64
-	together   [][]int64
-	migrations []int
-	last       []int // last host of each VM, -1 before first placement
+	n        int
+	hours    int64
+	together [][]int64
 }
 
 // NewColocation creates a tracker for n VMs.
 func NewColocation(n int) *Colocation {
-	c := &Colocation{n: n, together: make([][]int64, n), migrations: make([]int, n), last: make([]int, n)}
+	c := &Colocation{n: n, together: make([][]int64, n)}
 	for i := range c.together {
 		c.together[i] = make([]int64, n)
-	}
-	for i := range c.last {
-		c.last[i] = -1
 	}
 	return c
 }
@@ -236,9 +231,7 @@ func NewColocation(n int) *Colocation {
 // RecordHour records the host assignment of every VM for one hour.
 // hosts[i] is the host index of VM i, or a negative value for a VM that
 // is unplaced or not yet created — such VMs are colocated with nobody
-// (not even each other) and accrue no migrations. A change of host from
-// the previous recorded hour counts as one migration (the first
-// placement does not).
+// (not even each other).
 func (c *Colocation) RecordHour(hosts []int) {
 	if len(hosts) != c.n {
 		panic(fmt.Sprintf("metrics: got %d host assignments, want %d", len(hosts), c.n))
@@ -248,10 +241,6 @@ func (c *Colocation) RecordHour(hosts []int) {
 		if hi < 0 {
 			continue
 		}
-		if c.last[i] >= 0 && hi != c.last[i] {
-			c.migrations[i]++
-		}
-		c.last[i] = hi
 		row := c.together[i]
 		for j := 0; j < c.n; j++ {
 			if hi == hosts[j] {
@@ -270,15 +259,6 @@ func (c *Colocation) Fraction(i, j int) float64 {
 	}
 	return float64(c.together[i][j]) / float64(c.hours)
 }
-
-// Migrations returns the number of migrations VM i experienced.
-func (c *Colocation) Migrations(i int) int { return c.migrations[i] }
-
-// Hours returns the number of recorded hours.
-func (c *Colocation) Hours() int64 { return c.hours }
-
-// N returns the number of tracked VMs.
-func (c *Colocation) N() int { return c.n }
 
 // ---------------------------------------------------------------------------
 // Request latency / SLA (§VI-A-3)

@@ -171,9 +171,6 @@ func TestColocationMatrix(t *testing.T) {
 	}
 	// VM 1 migrates to host 1 for 1 hour.
 	c.RecordHour([]int{0, 1, 1, 1})
-	if c.Hours() != 4 || c.N() != 4 {
-		t.Fatalf("hours=%d n=%d", c.Hours(), c.N())
-	}
 	if got := c.Fraction(0, 1); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("fraction(0,1) = %v, want 0.75", got)
 	}
@@ -182,9 +179,6 @@ func TestColocationMatrix(t *testing.T) {
 	}
 	if c.Fraction(0, 0) != 1 {
 		t.Fatal("diagonal must be 1")
-	}
-	if c.Migrations(1) != 1 || c.Migrations(0) != 0 {
-		t.Fatalf("migrations: %d %d", c.Migrations(1), c.Migrations(0))
 	}
 }
 

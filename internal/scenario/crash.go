@@ -71,8 +71,8 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("scenario: cell %d (%s) panicked: %v", e.Cell, e.Policy, e.Value)
 }
 
-// cellOutcome is one ParMap element: a cell's result or its failure.
-// Splitting the pair through the pool keeps ParMap's bit-identical
+// cellOutcome is one par.Map element: a cell's result or its failure.
+// Splitting the pair through the pool keeps par.Map's bit-identical
 // index-addressed collection while letting errors propagate instead of
 // panicking across goroutines.
 type cellOutcome struct {

@@ -5,14 +5,17 @@
 // energy/SLA/latency outcomes.
 //
 // The paper's evaluation (§VI) exercises one testbed shape and one
-// simulated sweep; this package is the scaffold for everything beyond
-// it. A Scenario is pure data — host classes (capacity plus power
+// simulated sweep; this package runs both, and is the scaffold for
+// everything beyond them. A Scenario is pure data — host classes (capacity plus power
 // profile), workload groups (an archetype trace fanned out over a
 // population, optionally replicated, phase-shifted, timer-driven or
 // churning with arrivals/departures) and the policy configurations to
 // compare. Run materializes one independent cluster per policy cell,
 // fans the cells over the bounded worker pool and aggregates a
-// JSON-serializable Report.
+// JSON-serializable Report; Simulate returns the cells' raw results
+// instead. These are the only non-test callers of the simulation
+// runtime: the paper-artifact runners (internal/exp) and the root
+// facade declare their fleets as Scenarios too.
 //
 // Families are registered scenario constructors: a Family is one struct
 // literal (name, description, the paper claim or beyond-paper question

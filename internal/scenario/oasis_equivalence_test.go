@@ -3,6 +3,9 @@ package scenario
 import (
 	"reflect"
 	"testing"
+
+	"drowsydc/internal/cluster"
+	"drowsydc/internal/oasis"
 )
 
 // The acceptance backbone of the fleet-scale Oasis rebuild: on every
@@ -28,6 +31,11 @@ func hostsForVMs(t *testing.T, f Family, target, horizon int) int {
 	return 0
 }
 
+// exhaustiveOasis builds the reference selection (full
+// score-materialize-and-sort): decisions bit-identical to the indexed
+// search, which is what the suite asserts.
+func exhaustiveOasis() cluster.Policy { return oasis.New(oasis.Options{Exhaustive: true}) }
+
 func TestOasisIndexedMatchesExhaustiveOnFamilies(t *testing.T) {
 	const horizon = 48
 	sizes := []int{64, 256, 1024}
@@ -39,7 +47,7 @@ func TestOasisIndexedMatchesExhaustiveOnFamilies(t *testing.T) {
 			// reports must agree on every field but the label.
 			sc.Policies = []PolicyConfig{
 				{Label: "x", Policy: "oasis", Suspend: true},
-				{Label: "x", Policy: "oasis-exhaustive", Suspend: true},
+				{Label: "x", Policy: "oasis", Suspend: true, New: exhaustiveOasis},
 			}
 			rep, err := Run(sc, Options{})
 			if err != nil {

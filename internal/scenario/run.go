@@ -10,8 +10,8 @@ import (
 
 	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/dcsim"
-	"drowsydc/internal/exp"
 	"drowsydc/internal/metrics"
+	"drowsydc/internal/par"
 	"drowsydc/internal/power"
 	"drowsydc/internal/simtime"
 )
@@ -39,8 +39,9 @@ type Options struct {
 	// policy cell's simulation: it is called once per cell, serially and
 	// in cell order before execution starts, with the cell index and
 	// policy label, and the returned dcsim.Probe (nil = don't record
-	// this cell) receives that cell's per-hour samples. Observe-only,
-	// like Progress: reports are bit-identical with or without it.
+	// this cell) receives that cell's per-hour samples — and, if it is
+	// a dcsim.PlacementProbe, each hour's placement. Observe-only, like
+	// Progress: reports are bit-identical with or without it.
 	Probe func(cell int, policy string) dcsim.Probe
 	// ProbeTimings forwards wall-clock executor phase timings into the
 	// probe samples (dcsim.Config.ProbeTimings) — the one
@@ -155,6 +156,20 @@ func writeIndentedJSON(w io.Writer, v any) error {
 // silently ignoring the axis would report one arbitrary grid point as
 // the whole curve; use RunSweep.
 func Run(sc Scenario, opt Options) (*Report, error) {
+	results, err := Simulate(sc, opt)
+	if err != nil {
+		return nil, err
+	}
+	rep := assemble(sc, sc.policies(), results)
+	return &rep, nil
+}
+
+// Simulate is Run without the report: it returns each policy column's
+// raw dcsim.Result in column order, for callers that read what a Report
+// does not carry — per-host suspension, per-VM migrations, the latency
+// collectors. The paper-artifact runners (internal/exp) and the root
+// facade run through it.
+func Simulate(sc Scenario, opt Options) ([]*dcsim.Result, error) {
 	if sc.Sweep.Enabled() {
 		return nil, fmt.Errorf("scenario %s: Run on a scenario with a sweep axis (use RunSweep)", sc.Name)
 	}
@@ -172,17 +187,12 @@ func Run(sc Scenario, opt Options) (*Report, error) {
 			probes[i] = opt.Probe(i, pc.Label)
 		}
 	}
-	outs := exp.ParMap(opt.Workers, len(cols), func(i int) cellOutcome {
+	outs := par.Map(opt.Workers, len(cols), func(i int) cellOutcome {
 		res, err := runCell(sc, i, cols[i], stores, probes[i], opt)
 		progress()
 		return cellOutcome{res, err}
 	})
-	results, err := collect(outs)
-	if err != nil {
-		return nil, err
-	}
-	rep := assemble(sc, cols, results)
-	return &rep, nil
+	return collect(outs)
 }
 
 // stores resolves which shared stores a run uses: none for the
@@ -253,9 +263,6 @@ func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, probe dcs
 		CheckpointEveryHours: opt.Checkpoint.every(),
 		Arrivals:             arrivals,
 		Departures:           departures,
-		// Scenario reports never read the colocation matrix; its
-		// O(VMs²)-per-hour update would dominate fleet-scale runs.
-		DisableColocation: true,
 	}
 	if opt.Checkpoint != nil && opt.Checkpoint.Sink != nil {
 		sink := opt.Checkpoint.Sink
@@ -268,14 +275,14 @@ func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, probe dcs
 			if derr != nil {
 				return nil, fmt.Errorf("scenario: cell %d (%s): decode checkpoint: %w", cell, pc.Label, derr)
 			}
-			runner, derr = dcsim.ResumeRunner(cfg, c, exp.NewPolicy(pc.Policy), st)
+			runner, derr = dcsim.ResumeRunner(cfg, c, pc.newPolicy(), st)
 			if derr != nil {
 				return nil, fmt.Errorf("scenario: cell %d (%s): resume: %w", cell, pc.Label, derr)
 			}
 		}
 	}
 	if runner == nil {
-		runner = dcsim.NewRunner(cfg, c, exp.NewPolicy(pc.Policy))
+		runner = dcsim.NewRunner(cfg, c, pc.newPolicy())
 	}
 	res = runner.Run()
 	if res == nil {

@@ -5,7 +5,9 @@ import (
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/dcsim"
-	"drowsydc/internal/exp"
+	"drowsydc/internal/drowsy"
+	"drowsydc/internal/neat"
+	"drowsydc/internal/oasis"
 	"drowsydc/internal/power"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/timeline"
@@ -68,6 +70,11 @@ type WorkloadGroup struct {
 	// hours after its creation (the SLMU lifecycle: capacity returns to
 	// the pool).
 	LifetimeHours int
+	// StartHost pins the members present at the start to one host: its
+	// 1-based position in the fleet, hosts numbered across the classes
+	// in declaration order. 0 lets the policy place them; churn arrivals
+	// are always placed by the policy.
+	StartHost int
 }
 
 // PolicyConfig is one column of a scenario's comparison: a
@@ -75,9 +82,13 @@ type WorkloadGroup struct {
 type PolicyConfig struct {
 	// Label names the column in reports ("neat-s3").
 	Label string
-	// Policy is the exp.NewPolicy constructor name ("drowsy",
+	// Policy is the registry name of the column's policy ("drowsy",
 	// "drowsy-full", "neat", "oasis").
 	Policy string
+	// New, when set, constructs the column's policy instead of the
+	// registry entry Policy names: a variant the registry does not list,
+	// such as Oasis over a 72-hour window.
+	New func() cluster.Policy
 	// Suspend enables S3 on idle non-empty hosts.
 	Suspend bool
 	// Grace enables the anti-oscillation grace time.
@@ -96,6 +107,22 @@ func DefaultPolicies() []PolicyConfig {
 		{Label: "neat", Policy: "neat"},
 		{Label: "oasis", Policy: "oasis", Suspend: true},
 	}
+}
+
+// policies is the policy registry: the names a PolicyConfig can carry.
+var policies = map[string]func() cluster.Policy{
+	"drowsy":      func() cluster.Policy { return drowsy.New(drowsy.Options{}) },
+	"drowsy-full": func() cluster.Policy { return drowsy.New(drowsy.Options{FullRelocation: true}) },
+	"neat":        func() cluster.Policy { return neat.New(neat.Options{}) },
+	"oasis":       func() cluster.Policy { return oasis.New(oasis.Options{}) },
+}
+
+// newPolicy builds a fresh instance of the column's policy.
+func (pc PolicyConfig) newPolicy() cluster.Policy {
+	if pc.New != nil {
+		return pc.New()
+	}
+	return policies[pc.Policy]()
 }
 
 // Scenario is a fully declarative datacenter experiment: hosts,
@@ -181,7 +208,8 @@ func (sc Scenario) Validate() error {
 	if sc.Start < 0 {
 		return fmt.Errorf("scenario %s: negative start hour", sc.Name)
 	}
-	if len(sc.Hosts) == 0 || sc.TotalHosts() == 0 {
+	hosts := sc.TotalHosts()
+	if len(sc.Hosts) == 0 || hosts == 0 {
 		return fmt.Errorf("scenario %s: no hosts", sc.Name)
 	}
 	if len(sc.Groups) == 0 || sc.TotalVMs() == 0 {
@@ -216,6 +244,10 @@ func (sc Scenario) Validate() error {
 		if g.ArriveEvery < 0 || g.LifetimeHours < 0 {
 			return fmt.Errorf("scenario %s: group %q has negative churn parameters", sc.Name, g.Name)
 		}
+		if g.StartHost < 0 || g.StartHost > hosts {
+			return fmt.Errorf("scenario %s: group %q pinned to host %d of %d",
+				sc.Name, g.Name, g.StartHost, hosts)
+		}
 		peak := peakMembers(g)
 		memDemand += peak * g.MemGB
 		vmCount += peak
@@ -231,7 +263,7 @@ func (sc Scenario) Validate() error {
 		if pc.Label == "" || pc.Policy == "" {
 			return fmt.Errorf("scenario %s: policy column missing label or policy", sc.Name)
 		}
-		if !exp.ValidPolicy(pc.Policy) {
+		if policies[pc.Policy] == nil {
 			return fmt.Errorf("scenario %s: column %q names unknown policy %q",
 				sc.Name, pc.Label, pc.Policy)
 		}
@@ -447,6 +479,11 @@ func (sc Scenario) materialize(st runStores) (
 				arrivals = append(arrivals, dcsim.Arrival{At: at, VM: v})
 			} else {
 				c.AddVM(v)
+				if g.StartHost > 0 {
+					if err := c.Place(v, c.Hosts()[g.StartHost-1]); err != nil {
+						panic(err)
+					}
+				}
 			}
 			if g.LifetimeHours > 0 {
 				departures = append(departures, dcsim.Departure{

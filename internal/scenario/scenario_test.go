@@ -238,10 +238,63 @@ func TestValidateRejects(t *testing.T) {
 	if broken.Validate() == nil {
 		t.Fatal("empty fleet accepted")
 	}
-	broken = base
-	broken.Policies = []PolicyConfig{{Label: "typo", Policy: "drowsy_full"}}
-	if err := broken.Validate(); err == nil || !strings.Contains(err.Error(), "drowsy_full") {
-		t.Fatalf("unknown policy name accepted (err=%v); it would panic on a worker goroutine", err)
+	// The exhaustive Oasis reference is no registry name: tests build it
+	// through PolicyConfig.New.
+	for _, name := range []string{"drowsy_full", "oasis-exhaustive"} {
+		broken = base
+		broken.Policies = []PolicyConfig{{Label: "x", Policy: name}}
+		if err := broken.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown policy name %q accepted (err=%v); it would panic on a worker goroutine", name, err)
+		}
+	}
+	for _, pin := range []int{-1, base.TotalHosts() + 1} {
+		broken = base
+		broken.Groups = append([]WorkloadGroup(nil), base.Groups...)
+		broken.Groups[0].StartHost = pin
+		if err := broken.Validate(); err == nil || !strings.Contains(err.Error(), "pinned") {
+			t.Fatalf("pin %d outside a %d-host fleet accepted (err=%v)", pin, base.TotalHosts(), err)
+		}
+	}
+}
+
+// TestStartHostPlacesMembers checks that a start-host pin places the
+// group's members on that fleet position before the run starts.
+func TestStartHostPlacesMembers(t *testing.T) {
+	sc := small("always-on-mix")
+	last := sc.TotalHosts()
+	sc.Groups = append([]WorkloadGroup(nil), sc.Groups...)
+	sc.Groups[0].StartHost = last
+	sc.Groups[0].Count = 2 // one host's worth
+	if err := sc.Validate(); err != nil {
+		t.Fatalf("pin to the last host rejected: %v", err)
+	}
+	c, _, _, _ := sc.materialize(runStores{})
+	for _, v := range c.VMs()[:2] {
+		if v.Host() != c.Hosts()[last-1] {
+			t.Fatalf("pinned VM %s starts on %v, want host %d", v.Name, v.Host(), last)
+		}
+	}
+}
+
+// TestNewPolicyNames checks that every registry name builds the policy
+// it names, and that a column's own constructor replaces the lookup.
+func TestNewPolicyNames(t *testing.T) {
+	names := []string{"drowsy", "drowsy-full", "neat", "oasis"}
+	if len(policies) != len(names) {
+		t.Fatalf("registry holds %d names, want %d", len(policies), len(names))
+	}
+	for _, n := range names {
+		if p := (PolicyConfig{Policy: n}).newPolicy(); p == nil || p.Name() != n {
+			t.Fatalf("registry name %q built %v", n, p)
+		}
+	}
+	var built cluster.Policy
+	pc := PolicyConfig{Policy: "oasis", New: func() cluster.Policy {
+		built = PolicyConfig{Policy: "neat"}.newPolicy()
+		return built
+	}}
+	if p := pc.newPolicy(); p != built || p.Name() != "neat" {
+		t.Fatalf("column constructor bypassed: got %v", p)
 	}
 }
 

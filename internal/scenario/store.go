@@ -86,9 +86,9 @@ func structuralKey(sc Scenario) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s|start=%d|horizon=%d|res=%d|", sc.Name, sc.Start, sc.HorizonHours, sc.Resolution)
 	for _, g := range sc.Groups {
-		fmt.Fprintf(&b, "g{name=%s,count=%d,kind=%d,mem=%d,vcpu=%d,repl=%t,shift=%d,seed=%d,timer=%t,arrive=%d,life=%d}",
+		fmt.Fprintf(&b, "g{name=%s,count=%d,kind=%d,mem=%d,vcpu=%d,repl=%t,shift=%d,seed=%d,timer=%t,arrive=%d,life=%d,pin=%d}",
 			g.Name, g.Count, int(g.Kind), g.MemGB, g.VCPUs, g.Replicated,
-			g.ShiftStepHours, g.Seed, g.TimerDriven, g.ArriveEvery, g.LifetimeHours)
+			g.ShiftStepHours, g.Seed, g.TimerDriven, g.ArriveEvery, g.LifetimeHours, g.StartHost)
 	}
 	return b.String()
 }

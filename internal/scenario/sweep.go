@@ -9,7 +9,7 @@ import (
 	"strings"
 
 	"drowsydc/internal/dcsim"
-	"drowsydc/internal/exp"
+	"drowsydc/internal/par"
 	"drowsydc/internal/power"
 	"drowsydc/internal/simtime"
 )
@@ -425,7 +425,7 @@ func RunSweep(sc Scenario, opt Options) (*SweepReport, error) {
 	}
 	stores := opt.stores(storeSrc)
 	progress := opt.progressCounter(len(points) * len(cols))
-	outs := exp.ParMap(opt.Workers, len(points)*len(cols), func(i int) cellOutcome {
+	outs := par.Map(opt.Workers, len(points)*len(cols), func(i int) cellOutcome {
 		res, err := runCell(points[i/len(cols)], i, cols[i%len(cols)], stores, nil, opt)
 		progress()
 		return cellOutcome{res, err}

@@ -6,7 +6,7 @@
 // The layering, bottom up:
 //
 //   - a bounded job pool (pool.go) — the serving-side counterpart of
-//     exp.ParMap's bounded fan-out: at most Workers simulations run at
+//     par.Map's bounded fan-out: at most Workers simulations run at
 //     once, excess jobs queue;
 //   - a single-flight result cache (cache.go) keyed by the canonical
 //     spec hash (family, params, tuning, sweep axis, resolution,

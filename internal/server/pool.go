@@ -8,13 +8,13 @@ import (
 )
 
 // pool is the daemon's bounded job pool — the serving-side counterpart
-// of exp.ParMap's bounded fan-out. Where ParMap bounds the goroutines
+// of par.Map's bounded fan-out. Where par.Map bounds the goroutines
 // of one finite grid, the pool bounds concurrently running simulations
 // across an unbounded request stream: at most workers jobs execute at
 // once, excess jobs queue on the semaphore in submission order
 // (approximately — Go's channel wakeups are not strictly FIFO, and the
 // jobs are independent deterministic cells, so order carries no
-// meaning, exactly as in ParMap).
+// meaning, exactly as in par.Map).
 type pool struct {
 	sem      chan struct{}
 	maxQueue int64
@@ -24,7 +24,7 @@ type pool struct {
 }
 
 // newPool sizes the pool; workers <= 0 selects GOMAXPROCS, mirroring
-// ParMap's convention. maxQueue bounds the admission queue consulted by
+// par.Map's convention. maxQueue bounds the admission queue consulted by
 // hasRoom (<= 0 selects the default of 64 waiting jobs).
 func newPool(workers, maxQueue int) *pool {
 	if workers <= 0 {
