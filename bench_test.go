@@ -344,8 +344,12 @@ func BenchmarkRebalanceDrowsy(b *testing.B) {
 func BenchmarkRebalanceNeat(b *testing.B) {
 	c := testbedCluster(16)
 	p := neat.New(neat.Options{})
+	util := make([]float64, len(c.Hosts()))
 	for h := simtime.Hour(0); h < 48; h++ {
-		p.RecordHour(c, h)
+		for i, host := range c.Hosts() {
+			util[i] = host.Utilization(h)
+		}
+		p.RecordHour(c, h, util)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,10 +12,12 @@ import (
 // length-prefixed variable sections. The encoding is a deterministic
 // function of the RunState (no maps are walked), so capture → restore →
 // capture is byte-stable — the property the resume bit-identity gate
-// builds on.
+// builds on. Version 2 appends the departed-VM section; version-1
+// blobs, which end after the migration ledger, still decode (with no
+// departed VMs) and re-encode as version 2.
 const (
 	stateMagic   = 0x44724350 // "DrCP"
-	stateVersion = 1
+	stateVersion = 2
 	// maxSection caps any single length prefix a decoder will honor.
 	// Checkpoint bytes come from disk; a corrupt length must produce an
 	// error, not an attempted multi-gigabyte allocation.
@@ -94,6 +96,11 @@ func Encode(st *RunState) []byte {
 	}
 	w.i64(st.Migrations)
 	w.f64(st.MigrationSecs)
+	w.u32(uint32(len(st.Departed)))
+	for _, d := range st.Departed {
+		w.i32(d.ID)
+		w.i32(d.Migrations)
+	}
 	return w.buf
 }
 
@@ -113,7 +120,7 @@ func Decode(data []byte) (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != stateVersion {
+	if version != 1 && version != stateVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported state version %d (have %d)", version, stateVersion)
 	}
 	st := &RunState{}
@@ -308,6 +315,24 @@ func Decode(data []byte) (*RunState, error) {
 	}
 	if st.MigrationSecs, err = r.f64("migration seconds"); err != nil {
 		return nil, err
+	}
+	if version >= 2 {
+		nd, err := r.count("departed VM count", 8)
+		if err != nil {
+			return nil, err
+		}
+		if nd > 0 {
+			st.Departed = make([]DepartedVM, nd)
+		}
+		for i := range st.Departed {
+			d := &st.Departed[i]
+			if d.ID, err = r.i32("departed VM ID"); err != nil {
+				return nil, err
+			}
+			if d.Migrations, err = r.i32("departed VM migrations"); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if r.off != len(r.data) {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes after state", len(r.data)-r.off)

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -55,6 +56,7 @@ func sampleState() *RunState {
 		NetSerials:    []uint64{5, 0, 99},
 		Migrations:    17,
 		MigrationSecs: 108.8,
+		Departed:      []DepartedVM{{ID: 4, Migrations: 11}, {ID: 2, Migrations: 0}},
 	}
 }
 
@@ -71,6 +73,39 @@ func TestStateRoundTrip(t *testing.T) {
 	// Re-encode must be byte-stable (capture → restore → capture).
 	if !bytes.Equal(data, Encode(got)) {
 		t.Fatal("re-encode of decoded state differs")
+	}
+}
+
+// TestDecodeVersion1 pins a version-1 blob: sampleState as the
+// version-1 encoder wrote it, before the departed-VM section existed.
+// It still decodes, with no departed VMs, and re-encodes as the
+// current version.
+func TestDecodeVersion1(t *testing.T) {
+	data, err := os.ReadFile("testdata/state-v1.drcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(data[4:]); v != 1 {
+		t.Fatalf("fixture is version %d, want 1", v)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sampleState()
+	want.Departed = nil
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("version-1 decode mismatch:\nwant: %+v\n got: %+v", want, got)
+	}
+	again, err := Decode(Encode(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, again) {
+		t.Fatal("version-1 state does not survive a current-version round trip")
+	}
+	if v := binary.LittleEndian.Uint32(Encode(got)[4:]); v != stateVersion {
+		t.Fatalf("re-encoded as version %d, want %d", v, stateVersion)
 	}
 }
 

@@ -51,6 +51,17 @@ type RunState struct {
 	// Migrations and MigrationSecs are the cluster-wide ledger.
 	Migrations    int64
 	MigrationSecs float64
+	// Departed holds the VMs whose departure the run consumed before
+	// Hour, in schedule order, with their final migration counts: they
+	// left the registry, so VMs does not carry them, yet the run's
+	// result still reports every VM it ever held.
+	Departed []DepartedVM
+}
+
+// DepartedVM is a departed VM's ID and final migration count.
+type DepartedVM struct {
+	ID         int32
+	Migrations int32
 }
 
 // VMState is one VM's serialized state.

@@ -504,8 +504,14 @@ func SortVMsByMemDesc(vms []*VM) []*VM {
 // hour, after the hour's activity played out and the idleness models
 // were fed. Policies driven outside a runtime (direct Rebalance calls)
 // must not rely on it; they lazily catch up instead.
+//
+// util holds every host's utilization for the hour just played,
+// indexed by Host.Pos: util[h.Pos()] is h.Utilization(hr), bit for
+// bit, unclamped. The runtime's host phase already sums it, so a
+// recorder reads it instead of re-reading every VM's activity. The
+// slice is reused across hours.
 type HourRecorder interface {
-	RecordHour(*Cluster, simtime.Hour)
+	RecordHour(c *Cluster, hr simtime.Hour, util []float64)
 }
 
 // IdlenessBlind marks a policy that never reads a VM's idleness model

@@ -107,6 +107,15 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 		st.HasNet = true
 		st.NetSerials = r.net.Serials()
 	}
+	// Departures at hr play after the capture, so the consumed ones are
+	// exactly those scheduled before it.
+	for _, d := range r.cfg.Departures {
+		if d.At < hr {
+			st.Departed = append(st.Departed, checkpoint.DepartedVM{
+				ID: int32(d.VM.ID), Migrations: int32(d.VM.Migrations()),
+			})
+		}
+	}
 	return st
 }
 
@@ -159,14 +168,28 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 	}
 	r.pending = rest
 	remaining := r.departs[:0]
+	var departed []*cluster.VM
 	for _, d := range r.departs {
 		if d.At < hr {
 			c.Remove(d.VM)
+			departed = append(departed, d.VM)
 		} else {
 			remaining = append(remaining, d)
 		}
 	}
 	r.departs = remaining
+	// A departed VM's migration count is in its result entry, and only
+	// the checkpoint still holds it.
+	if len(st.Departed) != len(departed) {
+		return nil, fmt.Errorf("dcsim: checkpoint lists %d departed VMs, the schedule replays %d departures",
+			len(st.Departed), len(departed))
+	}
+	for i, v := range departed {
+		if d := st.Departed[i]; int(d.ID) != v.ID {
+			return nil, fmt.Errorf("dcsim: checkpoint departure %d is VM %d, the schedule replays VM %d", i, d.ID, v.ID)
+		}
+		v.RestoreMigrations(int(st.Departed[i].Migrations))
+	}
 
 	// The serialized VM set must match the reconstructed registry
 	// exactly; its order then becomes the registry order (arrivals

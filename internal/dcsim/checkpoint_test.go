@@ -8,7 +8,9 @@ import (
 	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/drowsy"
+	"drowsydc/internal/neat"
 	"drowsydc/internal/netsim"
+	"drowsydc/internal/oasis"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -43,24 +45,36 @@ func checkpointFixture(hosts int, churn bool) (*cluster.Cluster, Config) {
 // the straight-through run — across worker counts, mid-run churn, the
 // lossy wake network and the sub-hourly event mode. Resume worker
 // counts deliberately differ from capture counts: the checkpoint format
-// must be partition-portable, like the shard executor itself.
+// must be partition-portable, like the shard executor itself. The churn
+// cases also run Neat and Oasis, which migrate the VMs that depart at
+// hour 100: their counts must survive a resume after the departure.
 func TestResumeBitIdentical(t *testing.T) {
+	drowsyFull := func() cluster.Policy { return drowsy.New(drowsy.Options{FullRelocation: true}) }
 	cases := []struct {
 		name          string
 		capWorkers    int
 		resumeWorkers int
 		churn, lossy  bool
 		res           Resolution
+		policy        func() cluster.Policy
 	}{
 		{name: "serial", capWorkers: 1, resumeWorkers: 1},
 		{name: "sharded", capWorkers: 8, resumeWorkers: 8},
 		{name: "cross-workers", capWorkers: 1, resumeWorkers: 8},
 		{name: "churn", capWorkers: 8, resumeWorkers: 1, churn: true},
+		{name: "churn-neat", capWorkers: 8, resumeWorkers: 1, churn: true,
+			policy: func() cluster.Policy { return neat.New(neat.Options{}) }},
+		{name: "churn-oasis", capWorkers: 8, resumeWorkers: 1, churn: true,
+			policy: func() cluster.Policy { return oasis.New(oasis.Options{}) }},
 		{name: "lossy", capWorkers: 1, resumeWorkers: 1, lossy: true},
 		{name: "event", capWorkers: 1, resumeWorkers: 1, res: ResolutionEvent},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			pol := tc.policy
+			if pol == nil {
+				pol = drowsyFull
+			}
 			build := func(workers int) (*cluster.Cluster, Config) {
 				c, cfg := checkpointFixture(24, tc.churn)
 				cfg.ShardWorkers = workers
@@ -75,14 +89,14 @@ func TestResumeBitIdentical(t *testing.T) {
 			cfg.Checkpoint = func(hr simtime.Hour, data []byte) {
 				blobs[hr] = append([]byte(nil), data...)
 			}
-			want := NewRunner(cfg, c, drowsy.New(drowsy.Options{FullRelocation: true})).Run()
+			want := NewRunner(cfg, c, pol()).Run()
 			if len(blobs) != 3 { // 168 hours at cadence 48 → hours 48, 96, 144
 				t.Fatalf("captured %d checkpoints, want 3", len(blobs))
 			}
 
 			// Attaching the hook must not change the run itself.
 			cPlain, cfgPlain := build(tc.capWorkers)
-			plain := NewRunner(cfgPlain, cPlain, drowsy.New(drowsy.Options{FullRelocation: true})).Run()
+			plain := NewRunner(cfgPlain, cPlain, pol()).Run()
 			requireIdenticalResults(t, "hook attached", plain, want)
 
 			for hr, blob := range blobs {
@@ -91,7 +105,7 @@ func TestResumeBitIdentical(t *testing.T) {
 					t.Fatalf("decode checkpoint at %d: %v", hr, err)
 				}
 				c2, cfg2 := build(tc.resumeWorkers)
-				r2, err := ResumeRunner(cfg2, c2, drowsy.New(drowsy.Options{FullRelocation: true}), st)
+				r2, err := ResumeRunner(cfg2, c2, pol(), st)
 				if err != nil {
 					t.Fatalf("resume at %d: %v", hr, err)
 				}
@@ -183,6 +197,42 @@ func TestResumeRejections(t *testing.T) {
 		cfg2.Network = &netsim.Config{WakeLoss: 0.3, Seed: 1}
 		if _, err := ResumeRunner(cfg2, c2, pol(), st); err == nil {
 			t.Fatal("network-mismatched resume accepted")
+		}
+	})
+	t.Run("departed mismatch", func(t *testing.T) {
+		// The fixture has no departures: a listed one matches nothing.
+		c2, cfg2 := fresh()
+		other := *st
+		other.Departed = []checkpoint.DepartedVM{{ID: 0, Migrations: 3}}
+		if _, err := ResumeRunner(cfg2, c2, pol(), &other); err == nil {
+			t.Fatal("departed VM the schedule never removed accepted")
+		}
+		// With churn, the list must name the replayed departures in order.
+		var late []byte
+		c3, cfg3 := checkpointFixture(12, true)
+		cfg3.Checkpoint = func(hr simtime.Hour, data []byte) {
+			if hr == 144 {
+				late = append([]byte(nil), data...)
+			}
+		}
+		NewRunner(cfg3, c3, pol()).Run()
+		st3, err := checkpoint.Decode(late)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st3.Departed) != 2 {
+			t.Fatalf("checkpoint at 144 lists %d departed VMs, want 2", len(st3.Departed))
+		}
+		for name, departed := range map[string][]checkpoint.DepartedVM{
+			"missing": nil,
+			"swapped": {st3.Departed[1], st3.Departed[0]},
+		} {
+			c4, cfg4 := checkpointFixture(12, true)
+			other := *st3
+			other.Departed = departed
+			if _, err := ResumeRunner(cfg4, c4, pol(), &other); err == nil {
+				t.Fatalf("%s departed list accepted", name)
+			}
 		}
 	})
 	t.Run("hour outside run", func(t *testing.T) {

@@ -363,6 +363,11 @@ type Runner struct {
 	// the MAC the waking modules and the loss model address a host by.
 	hosts []*hostRT
 	byMAC []*hostRT
+	// util is each host's utilization for the hour just played, by
+	// host position: the host phase stores it (each shard at its own
+	// hosts only) and the serial reduction hands it to the policy's
+	// hour recorder.
+	util []float64
 	// net is the lossy WoL delivery model (nil = perfect delivery);
 	// netCfg is its resolved configuration. The per-MAC attempt serials
 	// inside are written only by the owning host's shard.
@@ -531,6 +536,7 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		waking.Pair(sh.wm, sh.mirror)
 		r.shards = append(r.shards, sh)
 	}
+	r.util = make([]float64, len(c.Hosts()))
 	for i, h := range c.Hosts() {
 		os := ossim.New()
 		os.Blacklist("monitord", "watchdog")
@@ -799,7 +805,7 @@ func (r *Runner) Run() *Result {
 		// Serial reduction: the hourly recorders and heartbeats run in
 		// deterministic order.
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
-			rec.RecordHour(c, hr)
+			rec.RecordHour(c, hr, r.util)
 		}
 		for _, sh := range r.shards {
 			sh.wm.Heartbeat()
@@ -918,6 +924,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	// (a management wake for an outgoing migration ends at t0+resume
 	// latency).
 	if h.NumVMs() == 0 {
+		r.util[h.Pos()] = 0
 		from := float64(t0)
 		if ra := float64(rt.resumedAt); ra > from {
 			from = ra
@@ -935,8 +942,10 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	// Activity profile of the hour, read once per VM (several steps
 	// below consult this hour's levels): any VM above the noise floor
 	// pins the host awake for the whole hour. The utilization sum
-	// accumulates in h.VMs() order, exactly as Host.Utilization does.
-	// In runs that observe, levels join the shard's observation batch.
+	// accumulates in h.VMs() order, exactly as Host.Utilization does,
+	// so the unclamped quotient stored for the hour recorder is
+	// Host.Utilization's own result. In runs that observe, levels join
+	// the shard's observation batch.
 	vms := h.VMs()
 	if cap(sh.actBuf) < len(vms) {
 		sh.actBuf = make([]float64, len(vms))
@@ -960,6 +969,7 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 	if h.VCPUs != 0 {
 		util = demand / float64(h.VCPUs)
 	}
+	r.util[h.Pos()] = util
 	if util > 1 {
 		util = 1
 	}

@@ -340,8 +340,8 @@ func TestProductionRebalanceMatchesLinearReference(t *testing.T) {
 				v.Model.Observe(simtime.Decompose(hr), v.Activity(hr))
 			}
 		}
-		p.RecordHour(a, hr)
-		ref.neat.RecordHour(b, hr)
+		p.RecordHour(a, hr, utilAt(a, hr))
+		ref.neat.RecordHour(b, hr, utilAt(b, hr))
 		p.Rebalance(a, hr+1)
 		ref.rebalance(b, hr+1)
 		if got, want := a.Assignments(), b.Assignments(); !slices.Equal(got, want) {
@@ -378,7 +378,7 @@ func BenchmarkProductionRound(b *testing.B) {
 			for _, v := range c.VMs() {
 				v.Model.Observe(simtime.Decompose(hr), v.Activity(hr))
 			}
-			ref.neat.RecordHour(c, hr)
+			ref.neat.RecordHour(c, hr, utilAt(c, hr))
 		}
 		vms := append([]*cluster.VM(nil), c.VMs()...)
 		start := c.Assignments()

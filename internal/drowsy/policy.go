@@ -134,8 +134,8 @@ func (p *Policy) Neat() *neat.Policy { return p.opts.Neat }
 
 // RecordHour forwards the hourly utilization observation to the wrapped
 // Neat policy, whose detectors Drowsy-DC reuses.
-func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
-	p.opts.Neat.RecordHour(c, hr)
+func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour, util []float64) {
+	p.opts.Neat.RecordHour(c, hr, util)
 }
 
 // IPEvaluations returns the cumulative number of per-VM IP evaluations.
@@ -192,7 +192,7 @@ func (p *Policy) PlaceNew(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour) (*
 // Rebalance implements cluster.Policy.
 func (p *Policy) Rebalance(c *cluster.Cluster, hr simtime.Hour) {
 	if p.opts.FullRelocation {
-		p.fullRelocate(c, hr)
+		p.fullRelocate(c, hr, (*Policy).pick)
 		return
 	}
 	x := p.round(c, hr)
@@ -416,7 +416,10 @@ func profileDist(a, b *[ProfileHours]float64) float64 {
 // hysteresis that keeps converged placements put (the paper's Figure 2
 // reports at most 3 migrations per VM over a week) while still allowing
 // early re-pairing of matching VMs.
-func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
+//
+// pick chooses each VM's host from the round's build state; Rebalance
+// passes (*Policy).pick.
+func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour, pick pickFunc) {
 	orig := c.VMs()
 	n := len(orig)
 	// The stamp window only depends on the round's hour; consecutive
@@ -471,7 +474,6 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 	// host's running mean profile is refreshed once per placement, so a
 	// pick pass reads it instead of re-deriving it per candidate host.
 	hosts := c.Hosts()
-	cpuBudget := p.opts.Neat.Options().OverloadThr
 	state, means := p.buildState(len(hosts))
 	plan := p.scratch.plan[:0]
 	planJ := p.scratch.planJ[:n]
@@ -482,56 +484,9 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour) {
 		v := cands[ci].vm
 		vprof := cands[ci].prof
 		demand := v.Activity(hr) * float64(v.VCPUs)
-		pick := func(relaxed bool) int {
-			best := -1
-			bestScore := math.Inf(1)
-			for hi, h := range hosts {
-				b := &state[hi]
-				if h.MaxVMs > 0 && b.num+1 > h.MaxVMs {
-					continue
-				}
-				if b.mem+v.MemGB > h.MemGB {
-					continue
-				}
-				if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > cpuBudget {
-					continue
-				}
-				// Near-ties resolve toward the current host so a
-				// converged pair does not ping-pong between identical
-				// empty servers.
-				eps := 0.0
-				if h == v.Host() {
-					eps = tieEpsilon
-				}
-				// Distance with exact early exit: the partial score
-				// s/ProfileHours − eps is monotone in the partial sum,
-				// so once it reaches bestScore this host cannot win and
-				// the rest of the scan is skipped. Winners always run
-				// the full sum, so the selected score is unchanged.
-				hm := &means[hi]
-				s := 0.0
-				beaten := false
-				for k := 0; k < ProfileHours; k++ {
-					s += math.Abs(hm[k] - vprof[k])
-					if k&7 == 7 && s/ProfileHours-eps >= bestScore {
-						beaten = true
-						break
-					}
-				}
-				if beaten {
-					continue
-				}
-				score := s/ProfileHours - eps
-				if score < bestScore {
-					bestScore = score
-					best = hi
-				}
-			}
-			return best
-		}
-		hi := pick(false)
+		hi := pick(p, hosts, v, vprof, demand, false)
 		if hi < 0 {
-			hi = pick(true)
+			hi = pick(p, hosts, v, vprof, demand, true)
 		}
 		if hi < 0 {
 			continue // nowhere to put this VM; leave it where it is
@@ -590,6 +545,81 @@ type relocCand struct {
 	prof    *[ProfileHours]float64
 	ip      float64 // mean of prof, the secondary sort key
 	origIdx int32   // position in c.VMs() order
+}
+
+// pickFunc chooses v's host in a full-relocation round (see pick).
+type pickFunc func(p *Policy, hosts []*cluster.Host, v *cluster.VM, vprof *[ProfileHours]float64, demand float64, relaxed bool) int
+
+// pick returns the index of the host a full-relocation round places v
+// on, or −1 when none fits. Among the hosts with a free slot, room for
+// v's memory and, unless relaxed, CPU budget for its demand in the
+// round's build state, it takes the host whose running mean profile is
+// closest to vprof: the lowest index among equal scores, with
+// tieEpsilon favouring v's current host.
+//
+// A host with nothing placed yet has the all-zero mean, so every such
+// host is at the same distance Σ_k |0 − vprof[k]|. It is summed once
+// per call, in the scan's order; |0 − x| and |x| are the same bits, so
+// each empty host scores exactly what the per-host sum would give. The
+// per-host sum's early exit never changes a winner (partial sums of
+// non-negative terms only grow), so skipping it for empty hosts selects
+// the same host. On a fleet being rebuilt from scratch every round most
+// hosts are empty for most of the VMs.
+func (p *Policy) pick(hosts []*cluster.Host, v *cluster.VM, vprof *[ProfileHours]float64, demand float64, relaxed bool) int {
+	state, means := p.scratch.state, p.scratch.means
+	cpuBudget := p.opts.Neat.Options().OverloadThr
+	empty := 0.0
+	for _, x := range vprof {
+		empty += math.Abs(x)
+	}
+	empty /= ProfileHours
+	best := -1
+	bestScore := math.Inf(1)
+	for hi, h := range hosts {
+		b := &state[hi]
+		if h.MaxVMs > 0 && b.num+1 > h.MaxVMs {
+			continue
+		}
+		if b.mem+v.MemGB > h.MemGB {
+			continue
+		}
+		if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > cpuBudget {
+			continue
+		}
+		// Near-ties resolve toward the current host so a converged pair
+		// does not ping-pong between identical empty servers.
+		eps := 0.0
+		if h == v.Host() {
+			eps = tieEpsilon
+		}
+		score := empty - eps
+		if b.placed > 0 {
+			// Distance with exact early exit: the partial score
+			// s/ProfileHours − eps is monotone in the partial sum, so
+			// once it reaches bestScore this host cannot win and the
+			// rest of the scan is skipped. Winners always run the full
+			// sum, so the selected score is unchanged.
+			hm := &means[hi]
+			s := 0.0
+			beaten := false
+			for k := 0; k < ProfileHours; k++ {
+				s += math.Abs(hm[k] - vprof[k])
+				if k&7 == 7 && s/ProfileHours-eps >= bestScore {
+					beaten = true
+					break
+				}
+			}
+			if beaten {
+				continue
+			}
+			score = s/ProfileHours - eps
+		}
+		if score < bestScore {
+			bestScore = score
+			best = hi
+		}
+	}
+	return best
 }
 
 // hostBuild tracks the virtual load of one host while a fresh

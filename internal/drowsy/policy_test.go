@@ -18,6 +18,16 @@ func train(vms []*cluster.VM, hours int) {
 	}
 }
 
+// utilAt is every host's utilization at hr by position, the table the
+// simulation runtime hands to RecordHour.
+func utilAt(c *cluster.Cluster, hr simtime.Hour) []float64 {
+	util := make([]float64, len(c.Hosts()))
+	for i, h := range c.Hosts() {
+		util[i] = h.Utilization(hr)
+	}
+	return util
+}
+
 func buildCluster(nHosts, slots int) *cluster.Cluster {
 	c := cluster.New()
 	for i := 0; i < nHosts; i++ {
@@ -210,7 +220,7 @@ func TestRebalanceComposesNeatSteps(t *testing.T) {
 	}
 	p := New(Options{})
 	for hr := simtime.Hour(0); hr < 3; hr++ {
-		p.Neat().RecordHour(c, hr)
+		p.Neat().RecordHour(c, hr, utilAt(c, hr))
 	}
 	p.Rebalance(c, 3)
 	if c.Hosts()[1].NumVMs() == 0 {

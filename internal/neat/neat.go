@@ -307,51 +307,6 @@ func correlation(a, b []float64) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Sub-problem 4: placement (PABFD)
-
-// PABFD places a VM on the feasible host whose power draw increases
-// least. With identical linear power models the increase is identical
-// everywhere, so — exactly like the reference implementation — the
-// decision degenerates to best-fit: the feasible host with the highest
-// current utilization that stays below the overload threshold, packing
-// VMs onto as few hosts as possible.
-func PABFD(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, overloadThr float64) (*cluster.Host, error) {
-	var best *cluster.Host
-	bestUtil := -1.0
-	demand := v.Activity(hr) * float64(v.VCPUs)
-	for _, h := range c.Hosts() {
-		if h == v.Host() || !h.CanHost(v) {
-			continue
-		}
-		util := h.Utilization(hr)
-		after := util + demand/float64(h.VCPUs)
-		if after > overloadThr {
-			continue
-		}
-		if util > bestUtil {
-			bestUtil = util
-			best = h
-		}
-	}
-	if best == nil {
-		// Relaxed pass: accept any host with room, even above the
-		// threshold — refusing placement strands the VM.
-		for _, h := range c.Hosts() {
-			if h != v.Host() && h.CanHost(v) {
-				if best == nil || h.Utilization(hr) > bestUtil {
-					best = h
-					bestUtil = h.Utilization(hr)
-				}
-			}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("neat: no host can fit VM %s", v.Name)
-	}
-	return best, nil
-}
-
-// ---------------------------------------------------------------------------
 // The composed policy
 
 // Options configures a Neat policy instance.
@@ -385,6 +340,13 @@ type Policy struct {
 	// history maps a host ID to its hourly utilization samples, oldest
 	// first; the detectors see only the last HistoryLen (History).
 	history map[int][]float64
+	// util is the utilization table PABFD reads, indexed by Host.Pos:
+	// util[i] is Hosts()[i].Utilization(hr) at the hour being placed.
+	// PlaceNew and Rebalance fill it, and a round recomputes both
+	// endpoints of every migration, so it always equals what the live
+	// hosts would read. order is scratch for the underload sort.
+	util  []float64
+	order []int32
 }
 
 // New creates a Neat policy.
@@ -404,19 +366,73 @@ func (p *Policy) Options() Options { return p.opts }
 
 // PlaceNew implements cluster.Policy using PABFD.
 func (p *Policy) PlaceNew(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour) (*cluster.Host, error) {
-	return PABFD(c, v, hr, p.opts.OverloadThr)
+	p.fillUtil(c, hr)
+	if h := p.pabfd(c, v, hr, true); h != nil {
+		return h, nil
+	}
+	return nil, fmt.Errorf("neat: no host can fit VM %s", v.Name)
 }
 
-// RecordHour appends the observed utilization of every host for the
-// completed hour; the statistical detectors feed on this history. The
-// simulation runtime calls it at each hour boundary.
+// fillUtil computes every host's utilization at hr into the table.
+func (p *Policy) fillUtil(c *cluster.Cluster, hr simtime.Hour) {
+	p.util = p.util[:0]
+	for _, h := range c.Hosts() {
+		p.util = append(p.util, h.Utilization(hr))
+	}
+}
+
+// pabfd is power-aware best-fit decreasing (PABFD), Neat's placement
+// step: it returns the host, other than v's own, whose power draw
+// increases least when it takes v, or nil when none can. With
+// identical linear power models the increase is identical everywhere,
+// so — exactly like the reference implementation — the decision
+// degenerates to best-fit: the feasible host with the highest current
+// utilization that stays within the overload threshold, packing VMs
+// onto as few hosts as possible. When nothing stays within it and relax
+// is set, any host with room will do: refusing placement strands the
+// VM. Utilizations come from the table, so it must be filled at hr.
+func (p *Policy) pabfd(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, relax bool) *cluster.Host {
+	var best *cluster.Host
+	bestUtil := -1.0
+	demand := v.Activity(hr) * float64(v.VCPUs)
+	hosts := c.Hosts()
+	for i, h := range hosts {
+		if h == v.Host() || !h.CanHost(v) {
+			continue
+		}
+		util := p.util[i]
+		if util+demand/float64(h.VCPUs) > p.opts.OverloadThr {
+			continue
+		}
+		if util > bestUtil {
+			bestUtil = util
+			best = h
+		}
+	}
+	if best == nil && relax {
+		for i, h := range hosts {
+			if h != v.Host() && h.CanHost(v) {
+				if best == nil || p.util[i] > bestUtil {
+					best = h
+					bestUtil = p.util[i]
+				}
+			}
+		}
+	}
+	return best
+}
+
+// RecordHour implements cluster.HourRecorder: it appends every host's
+// utilization for the completed hour, util[h.Pos()], to its history;
+// the statistical detectors feed on it. The simulation runtime calls
+// it at each hour boundary.
 //
 // Each host's samples fill a backing array of 2×HistoryLen, and the
 // window slides forward through it. When the array is full, the newest
 // HistoryLen−1 samples move to its front: a sample is copied about once
 // during its stay in the window rather than on every hour, and the
 // array is allocated once per host, not once per window.
-func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
+func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour, util []float64) {
 	for _, h := range c.Hosts() {
 		buf := p.history[h.ID]
 		if len(buf) == cap(buf) {
@@ -426,7 +442,7 @@ func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
 			}
 			buf = buf[:copy(buf[:len(keep)], keep)]
 		}
-		p.history[h.ID] = append(buf, h.Utilization(hr))
+		p.history[h.ID] = append(buf, util[h.Pos()])
 	}
 }
 
@@ -439,74 +455,65 @@ func (p *Policy) History(hostID int) []float64 {
 	return buf[max(0, len(buf)-HistoryLen):]
 }
 
-// Rebalance implements cluster.Policy: the four Neat steps.
+// Rebalance implements cluster.Policy: the four Neat steps. Every
+// utilization the round reads comes from the table, filled once here
+// and recomputed at both endpoints of each migration (migrate).
 func (p *Policy) Rebalance(c *cluster.Cluster, hr simtime.Hour) {
+	p.fillUtil(c, hr)
+	hosts := c.Hosts()
 	// Step 2+3+4: relieve overloaded hosts.
-	for _, h := range c.Hosts() {
+	for i, h := range hosts {
 		if !p.opts.Overload.Overloaded(p.History(h.ID)) {
 			continue
 		}
 		for _, v := range p.opts.Selector.Order(h, hr) {
-			if h.Utilization(hr) <= p.opts.OverloadThr {
+			if p.util[i] <= p.opts.OverloadThr {
 				break
 			}
-			dst, err := PABFD(c, v, hr, p.opts.OverloadThr)
-			if err != nil {
+			dst := p.pabfd(c, v, hr, true)
+			if dst == nil {
 				break // nowhere to go; keep remaining VMs
 			}
-			_ = c.Migrate(v, dst)
+			_ = p.migrate(c, v, dst, hr)
 		}
 	}
 	// Step 1+4: evacuate underloaded hosts (smallest first so freed
-	// capacity concentrates).
-	hosts := append([]*cluster.Host(nil), c.Hosts()...)
-	sort.SliceStable(hosts, func(i, j int) bool {
-		return hosts[i].Utilization(hr) < hosts[j].Utilization(hr)
-	})
-	for _, h := range hosts {
+	// capacity concentrates). The order is the stable sort of the hosts
+	// by their utilization after step 2.
+	p.order = p.order[:0]
+	for i := range hosts {
+		p.order = append(p.order, int32(i))
+	}
+	sort.SliceStable(p.order, func(a, b int) bool { return p.util[p.order[a]] < p.util[p.order[b]] })
+	for _, i := range p.order {
+		h := hosts[i]
 		if h.NumVMs() == 0 {
 			continue
 		}
-		if h.Utilization(hr) >= p.opts.Underload {
+		if p.util[i] >= p.opts.Underload {
 			continue
 		}
-		// Only evacuate when every VM fits elsewhere; trial-plan first.
-		moved := 0
+		// Migrate the VMs one at a time, biggest first, and stop at the
+		// first that has no destination: a host can end up only partly
+		// evacuated.
 		for _, v := range cluster.SortVMsByMemDesc(h.VMs()) {
-			dst, err := p.placeAvoiding(c, v, hr, h)
-			if err != nil {
+			dst := p.pabfd(c, v, hr, false)
+			if dst == nil {
 				break
 			}
-			if err := c.Migrate(v, dst); err != nil {
+			if err := p.migrate(c, v, dst, hr); err != nil {
 				break
 			}
-			moved++
 		}
-		_ = moved
 	}
 }
 
-// placeAvoiding is PABFD restricted to destinations other than avoid
-// (evacuating a host must not bounce VMs back onto it).
-func (p *Policy) placeAvoiding(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, avoid *cluster.Host) (*cluster.Host, error) {
-	var best *cluster.Host
-	bestUtil := -1.0
-	demand := v.Activity(hr) * float64(v.VCPUs)
-	for _, h := range c.Hosts() {
-		if h == avoid || h == v.Host() || !h.CanHost(v) {
-			continue
-		}
-		util := h.Utilization(hr)
-		if util+demand/float64(h.VCPUs) > p.opts.OverloadThr {
-			continue
-		}
-		if util > bestUtil {
-			bestUtil = util
-			best = h
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("neat: no destination for %s avoiding %s", v.Name, avoid.Name)
-	}
-	return best, nil
+// migrate live-migrates v to dst and recomputes the utilization of both
+// endpoints in the table.
+func (p *Policy) migrate(c *cluster.Cluster, v *cluster.VM, dst *cluster.Host, hr simtime.Hour) error {
+	src := v.Host()
+	err := c.Migrate(v, dst)
+	p.util[src.Pos()] = src.Utilization(hr)
+	p.util[dst.Pos()] = dst.Utilization(hr)
+	return err
 }

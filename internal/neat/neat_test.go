@@ -11,6 +11,16 @@ import (
 	"drowsydc/internal/trace"
 )
 
+// utilAt is every host's utilization at hr by position, the table the
+// simulation runtime hands to RecordHour.
+func utilAt(c *cluster.Cluster, hr simtime.Hour) []float64 {
+	util := make([]float64, len(c.Hosts()))
+	for i, h := range c.Hosts() {
+		util[i] = h.Utilization(hr)
+	}
+	return util
+}
+
 func TestTHRDetector(t *testing.T) {
 	d := THR{0.8}
 	if d.Overloaded(nil) {
@@ -166,7 +176,7 @@ func TestPABFDPacksBestFit(t *testing.T) {
 	_ = c.Place(vms[2], h1) // h1 now busier at the backup hour
 	v := cluster.NewVM(9, "new", cluster.KindLLMI, 2, 2, trace.DailyBackup(0.5))
 	c.AddVM(v)
-	dst, err := PABFD(c, v, 2 /* the backup hour: hosts show activity */, DefaultOverloadThreshold)
+	dst, err := New(Options{}).PlaceNew(c, v, 2 /* the backup hour: hosts show activity */)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +196,7 @@ func TestPABFDRespectsThresholdThenRelaxes(t *testing.T) {
 	c.AddVM(v)
 	// Only host is over threshold with both VMs, but placement must
 	// still succeed via the relaxed pass.
-	dst, err := PABFD(c, v, 12, DefaultOverloadThreshold)
+	dst, err := New(Options{}).PlaceNew(c, v, 12)
 	if err != nil || dst != h {
 		t.Fatalf("relaxed placement failed: %v %v", dst, err)
 	}
@@ -197,7 +207,7 @@ func TestPABFDNoCapacity(t *testing.T) {
 	c.AddHost(cluster.NewHost(0, "h", 2, 2, 0))
 	v := cluster.NewVM(0, "big", cluster.KindLLMI, 8, 2, trace.DailyBackup(0.5))
 	c.AddVM(v)
-	if _, err := PABFD(c, v, 0, 0.8); err == nil {
+	if _, err := New(Options{OverloadThr: 0.8}).PlaceNew(c, v, 0); err == nil {
 		t.Fatal("expected no-capacity error")
 	}
 }
@@ -219,7 +229,7 @@ func TestRebalanceRelievesOverload(t *testing.T) {
 	}
 	// Feed history so THR sees the overload.
 	for hr := simtime.Hour(0); hr < 3; hr++ {
-		p.RecordHour(c, hr)
+		p.RecordHour(c, hr, utilAt(c, hr))
 	}
 	if !(THR{DefaultOverloadThreshold}).Overloaded(p.History(h0.ID)) {
 		t.Fatalf("test premise: host should look overloaded, history %v", p.History(h0.ID))
@@ -251,7 +261,7 @@ func TestRebalanceEvacuatesUnderloadedHost(t *testing.T) {
 	c.AddVM(v1)
 	_ = c.Place(v0, h0)
 	_ = c.Place(v1, h1)
-	p.RecordHour(c, 0)
+	p.RecordHour(c, 0, utilAt(c, 0))
 	p.Rebalance(c, 1)
 	empty := 0
 	for _, h := range c.Hosts() {
@@ -272,7 +282,7 @@ func TestHistoryBounded(t *testing.T) {
 	c, vms := testClusterWith([]int{4})
 	_ = c.Place(vms[0], c.Hosts()[0])
 	for hr := simtime.Hour(0); hr < simtime.Hour(HistoryLen+100); hr++ {
-		p.RecordHour(c, hr)
+		p.RecordHour(c, hr, utilAt(c, hr))
 	}
 	if got := len(p.History(0)); got != HistoryLen {
 		t.Fatalf("history length = %d, want %d", got, HistoryLen)
@@ -315,10 +325,10 @@ func TestHistorySlidingWindow(t *testing.T) {
 		for _, h := range c.Hosts() {
 			all[h.ID] = append(all[h.ID], h.Utilization(hr))
 		}
-		p.RecordHour(c, hr)
+		p.RecordHour(c, hr, utilAt(c, hr))
 		check("live", p, hr)
 		if restored != nil {
-			restored.RecordHour(c, hr)
+			restored.RecordHour(c, hr, utilAt(c, hr))
 			check("restored", restored, hr)
 		}
 		if hr == HistoryLen+HistoryLen/2 {
@@ -349,12 +359,13 @@ func TestRecordHourSteadyStateAllocs(t *testing.T) {
 	}
 	p := New(Options{})
 	hr := simtime.Hour(0)
-	p.RecordHour(c, hr)
+	util := utilAt(c, hr) // all zero, every hour
+	p.RecordHour(c, hr, util)
 	const hours = 4 * HistoryLen
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < hours; i++ {
 			hr++
-			p.RecordHour(c, hr)
+			p.RecordHour(c, hr, util)
 		}
 	})
 	if allocs != 0 {

@@ -117,8 +117,8 @@ func TestIndexedMatchesExhaustive(t *testing.T) {
 				// hook), then a close-by rebalance.
 				for step := 0; step < 1+rng.Intn(5); step++ {
 					hr++
-					indexed.RecordHour(a, hr-1)
-					exhaustive.RecordHour(b, hr-1)
+					indexed.RecordHour(a, hr-1, nil)
+					exhaustive.RecordHour(b, hr-1, nil)
 				}
 			case 1:
 				// A gap wider than the window: the lazy path must
@@ -174,8 +174,8 @@ func TestIndexedMatchesExhaustiveUnderChurn(t *testing.T) {
 			a.Remove(a.VMs()[vi])
 			b.Remove(b.VMs()[vi])
 		}
-		indexed.RecordHour(a, hr)
-		exhaustive.RecordHour(b, hr)
+		indexed.RecordHour(a, hr, nil)
+		exhaustive.RecordHour(b, hr, nil)
 		hr += simtime.Hour(1 + rng.Intn(24))
 		indexed.Rebalance(a, hr)
 		exhaustive.Rebalance(b, hr)

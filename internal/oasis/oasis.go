@@ -184,7 +184,8 @@ func (p *Policy) PlaceNew(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour) (*
 // rebalance. Direct callers that skip the hook are covered by the lazy
 // delta update in Rebalance. The exhaustive reference mode maintains no
 // index at all (it rebuilds its bitsets per round, the seed behaviour).
-func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour) {
+// Oasis pairs VMs by observed idleness, so it ignores host utilization.
+func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour, _ []float64) {
 	if p.opts.Exhaustive {
 		return
 	}
