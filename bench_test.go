@@ -280,30 +280,6 @@ func BenchmarkAblationWeightLearning(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of hot paths
 
-// BenchmarkModelObserve is the hourly model-builder update.
-func BenchmarkModelObserve(b *testing.B) {
-	m := core.New()
-	g := trace.RealTrace(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := simtime.Hour(i % simtime.HoursPerYear)
-		m.Observe(simtime.Decompose(h), g.Activity(h))
-	}
-}
-
-// BenchmarkModelIP is the per-decision IP computation.
-func BenchmarkModelIP(b *testing.B) {
-	m := core.New()
-	for h := simtime.Hour(0); h < 2000; h++ {
-		m.Observe(simtime.Decompose(h), 0.3)
-	}
-	st := simtime.Decompose(99999)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.IP(st)
-	}
-}
-
 // testbedCluster places the §VI-A VMs on their start hosts within a
 // fleet of n hosts of 16 GB, 8 vCPUs and 4 slots: the mid-size cluster
 // the rebalance micro-benchmarks run one round on.

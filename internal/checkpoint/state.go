@@ -12,7 +12,7 @@
 // dates, per-shard latency multisets and wake counters, per-MAC WoL
 // attempt serials, cluster migration ledgers and policy history — and
 // deliberately excludes pure caches that rebuild bit-identically
-// (trace memos, IP gather caches, the oasis idle index, engine event
+// (trace memos, IP memos, the oasis idle index, engine event
 // sequence numbers, OS pids).
 package checkpoint
 

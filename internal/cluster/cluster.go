@@ -139,11 +139,6 @@ func (v *VM) Migrations() int { return v.migrations }
 // IP returns the model's idleness probability (in [−1, 1]) for hour h.
 func (v *VM) IP(h simtime.Hour) float64 { return v.Model.IPAt(h) }
 
-// Probability returns the normalized idleness probability in [0, 1].
-func (v *VM) Probability(h simtime.Hour) float64 {
-	return v.Model.Probability(simtime.Decompose(h))
-}
-
 // Host is a physical server.
 type Host struct {
 	ID    int

@@ -175,9 +175,9 @@ func (r *modelReader) u16(dst *uint16, section string) error {
 
 // unmarshalSparse decodes the version-2 body (after magic+version).
 func (m *Model) unmarshalSparse(body []byte) error {
-	// The scores about to be decoded replace the current ones; drop any
-	// cached gathers derived from them.
-	m.ipCacheKey = [ipCacheSlots]int32{}
+	// The decoded scores and weights replace the current ones; drop the
+	// IP memoized from them.
+	m.memoHour = 0
 	r := &modelReader{data: body}
 	if err := m.decodeDenseScores(r); err != nil {
 		return err
@@ -219,7 +219,7 @@ func (m *Model) unmarshalSparse(body []byte) error {
 // written unconditionally, all-zero months restored as nil to preserve
 // allocation laziness.
 func (m *Model) unmarshalDense(body []byte) error {
-	m.ipCacheKey = [ipCacheSlots]int32{}
+	m.memoHour = 0
 	r := &modelReader{data: body}
 	if err := m.decodeDenseScores(r); err != nil {
 		return err

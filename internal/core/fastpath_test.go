@@ -18,9 +18,9 @@ func trainedModel(hours int) *Model {
 	return m
 }
 
-// TestIPProfileMatchesScalarIP asserts the batched, cache-backed
-// profile read returns bit-identical values to per-hour IP calls, both
-// before and after further observations invalidate cached gathers.
+// TestIPProfileMatchesScalarIP asserts the batched profile read returns
+// bit-identical values to per-hour IP calls, both before and after
+// further observations move the scores and weights.
 func TestIPProfileMatchesScalarIP(t *testing.T) {
 	m := trainedModel(40 * 24)
 	g := trace.RealTrace(1)
@@ -40,7 +40,6 @@ func TestIPProfileMatchesScalarIP(t *testing.T) {
 	}
 	base := simtime.Hour(40 * 24)
 	check(base)
-	check(base) // repeat: all entries served from cache
 	// Interleave observations (which mutate SI cells and weights) with
 	// overlapping profile reads, the consolidation-round access pattern.
 	for i := 0; i < 48; i++ {

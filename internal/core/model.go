@@ -87,21 +87,21 @@ func (o Options) withDefaults() Options {
 }
 
 // Model is a VM's idleness model. The zero value is not ready to use;
-// construct with New. Model is not safe for concurrent use — IPAt and
-// IPProfileInto write its scores cache too; each VM owns exactly one,
-// and the simulation runtime reads and updates it only from the shard
-// owning the VM's host or from its serial phases, so no locking is
-// needed.
+// construct with New. Model is not safe for concurrent use — IPAt
+// writes its one-hour IP memo; each VM owns exactly one, and the
+// simulation runtime reads and updates it only from the shard owning
+// the VM's host or from its serial phases, so no locking is needed.
 type Model struct {
-	// SI scores per calendar scale; all in [−1, 1], positive = idle.
-	// The year scale is by far the largest table (12×31×24 floats) while
-	// a typical simulation only ever observes a few months, so its month
-	// rows allocate lazily on first write — a nil row reads as all
-	// zeros, exactly the undetermined state a fresh array holds.
-	SId [simtime.HoursPerDay]float64
-	SIw [simtime.DaysPerWeek][simtime.HoursPerDay]float64
-	SIm [simtime.DaysPerMonth][simtime.HoursPerDay]float64
-	SIy [simtime.MonthsPerYear]*SIMonth
+	// The fields every read or observation touches come first, so a
+	// memo hit reads only the model's first cache line, and the fixed
+	// fields observe reads (these and the year-row pointers) span at
+	// most three lines. TestModelFootprint pins the layout.
+
+	// memoHour and memoIP are IPAt's one-hour memo: memoIP is the IP at
+	// hour memoHour−1, and memoHour 0 marks the memo empty (hours are
+	// non-negative).
+	memoHour simtime.Hour
+	memoIP   float64
 
 	// W holds the scale weights (w_d, w_w, w_m, w_y), kept on the
 	// probability simplex.
@@ -115,38 +115,21 @@ type Model struct {
 	hoursObserved int64
 	hoursIdle     int64
 
-	// ipCache memoizes the four-way SI gather of scores() for recently
-	// queried calendar hours — the hot operation of consolidation
-	// rounds, which read each VM's IP across a whole matching horizon
-	// every hour. Keys pack the four calendar coordinates the scores
-	// depend on (+1, so 0 marks an empty slot); the weighted dot
-	// product is always recomputed against the live weights, so cached
-	// IPs are bit-identical to uncached ones. Invalidation is by
-	// hour-of-day epoch: every SI cell an observation mutates carries
-	// the observed stamp's hour-of-day, so bumping that hour's epoch
-	// (and stamping entries with the epoch they were gathered under)
-	// retires every potentially stale entry in O(1).
-	ipCacheKey   [ipCacheSlots]int32
-	ipCacheEpoch [ipCacheSlots]uint32
-	ipCacheSI    [ipCacheSlots][NumScales]float64
-	hodEpoch     [simtime.HoursPerDay]uint32
-
 	opts Options
+
+	// SI scores per calendar scale; all in [−1, 1], positive = idle.
+	// The year scale is by far the largest table (12×31×24 floats) while
+	// a typical simulation only ever observes a few months, so its month
+	// rows allocate lazily on first write — a nil row reads as all
+	// zeros, exactly the undetermined state a fresh array holds.
+	SIy [simtime.MonthsPerYear]*SIMonth
+	SId [simtime.HoursPerDay]float64
+	SIw [simtime.DaysPerWeek][simtime.HoursPerDay]float64
+	SIm [simtime.DaysPerMonth][simtime.HoursPerDay]float64
 }
 
 // SIMonth is one month row of the year-scale SI table.
 type SIMonth [simtime.DaysPerMonth][simtime.HoursPerDay]float64
-
-// ipCacheSlots is the scores-cache size: a power of two comfortably
-// above the 24-hour matching horizon of the consolidation policies.
-const ipCacheSlots = 64
-
-// ipCacheKeyOf packs the calendar coordinates scores() reads into a
-// non-zero key.
-func ipCacheKeyOf(st simtime.Stamp) int32 {
-	return int32(1 + st.HourOfDay + simtime.HoursPerDay*
-		(st.DayOfWeek+simtime.DaysPerWeek*(st.DayOfMonth+simtime.DaysPerMonth*st.Month)))
-}
 
 // New returns a fresh model: all SI scores zero (undetermined behaviour)
 // and uniform weights.
@@ -188,38 +171,35 @@ func (m *Model) IP(st simtime.Stamp) float64 {
 
 // IPProfileInto fills out[i] with IP(stamps[i]) for a whole matching
 // horizon in one call — the shape consolidation rounds use, where each
-// VM's IP is read for every hour of the next day. Results are
-// bit-identical to per-hour IP calls (see gathered).
+// VM's IP is read for every hour of the next day. It leaves IPAt's
+// memo alone: a round reads each hour of the horizon once.
 func (m *Model) IPProfileInto(stamps []simtime.Stamp, out []float64) {
 	for i := range out {
-		out[i] = dot(m.W, *m.gathered(stamps[i]))
+		out[i] = m.IP(stamps[i])
 	}
 }
 
-// IPAt is IP at an absolute hour, served like IPProfileInto from the
-// scores cache. It is the one per-VM IP memo: the runtime's grace-time
-// probabilities and the policies' VM, host and IP-range reads all
-// arrive here.
+// IPAt is IP at an absolute hour, served from a one-hour memo: a read
+// at the memoized hour returns the stored IP, and a read at any other
+// hour computes IP(Decompose(h)) and stores it. It is the one per-VM IP
+// memo: the runtime's grace-time probabilities and the policies' VM,
+// host and IP-range reads all arrive here, nearly all at the hour being
+// played. observe and decoding clear the memo, so a served IP is
+// bit-identical to IP(Decompose(h)); the exported SI and weight fields
+// bypass it, so code that writes them directly must do so before any
+// read.
 func (m *Model) IPAt(h simtime.Hour) float64 {
-	return dot(m.W, *m.gathered(simtime.Decompose(h)))
+	if m.memoHour != h+1 {
+		m.memoize(h)
+	}
+	return m.memoIP
 }
 
-// gathered returns st's four SI scores from the scores cache, filling
-// the slot on a miss. The cache holds gathers, not IPs: callers take
-// the weighted dot product against the live weights, so a served IP is
-// bit-identical to IP(st). observe retires stale gathers by epoch and
-// decoding clears the cache; the exported SI fields bypass both, so a
-// direct write after a read is served stale.
-func (m *Model) gathered(st simtime.Stamp) *[NumScales]float64 {
-	key := ipCacheKeyOf(st)
-	slot := key & (ipCacheSlots - 1)
-	epoch := m.hodEpoch[st.HourOfDay]
-	if m.ipCacheKey[slot] != key || m.ipCacheEpoch[slot] != epoch {
-		m.ipCacheSI[slot] = m.scores(st)
-		m.ipCacheKey[slot] = key
-		m.ipCacheEpoch[slot] = epoch
-	}
-	return &m.ipCacheSI[slot]
+// memoize fills IPAt's memo with the IP at hour h. It stays out of
+// line so that IPAt's hit path inlines into its callers.
+func (m *Model) memoize(h simtime.Hour) {
+	m.memoIP = m.IP(simtime.Decompose(h))
+	m.memoHour = h + 1
 }
 
 // Probability maps the IP onto [0, 1]: the form the paper quotes as a
@@ -321,9 +301,8 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo) {
 		}
 		*cells[k] = siNew[k]
 	}
-	// The mutated SI cells all carry this stamp's hour-of-day; retire
-	// every cached gather sharing it by bumping the hour's epoch.
-	m.hodEpoch[st.HourOfDay]++
+	// The scores and weights change: drop the memoized IP.
+	m.memoHour = 0
 
 	m.learnWeights(w0, siOld, siNew)
 

@@ -328,14 +328,60 @@ func BenchmarkObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkIP(b *testing.B) {
-	m := New()
-	for h := simtime.Hour(0); h < 1000; h++ {
-		m.Observe(simtime.Decompose(h), 0.3)
+// BenchmarkIPRead measures the IP reads a simulation makes, over
+// 5,120 models trained on a month of a real trace: more models than the
+// machine's caches hold, as in a fleet, so each read pays for the cache
+// lines it touches. Each op is one call on the next model:
+//
+//   - first: an hour's first IPAt read, which misses the model's memo;
+//   - repeat: a repeated IPAt read of one hour, which hits it;
+//   - profile: one 24-hour IPProfileInto, a day further on each pass.
+func BenchmarkIPRead(b *testing.B) {
+	const n, days = 5120, 31
+	proto := trainedModel(days * simtime.HoursPerDay)
+	models := make([]*Model, n)
+	for i := range models {
+		models[i] = proto.Clone()
 	}
-	st := simtime.Decompose(12345)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.IP(st)
+	var sink float64
+	// k continues across runs, so a run never rereads an hour the
+	// previous run left in a memo.
+	var k int
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink += models[k%n].IPAt(simtime.Hour(k / n % (days * simtime.HoursPerDay)))
+			k++
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		const h = 20*simtime.HoursPerDay + 9
+		for _, m := range models {
+			sink += m.IPAt(h)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink += models[i%n].IPAt(h)
+		}
+	})
+	b.Run("profile", func(b *testing.B) {
+		var stamps [days][simtime.HoursPerDay]simtime.Stamp
+		for d := range stamps {
+			for hod := range stamps[d] {
+				stamps[d][hod] = simtime.Decompose(simtime.Hour(d*simtime.HoursPerDay + hod))
+			}
+		}
+		var out [simtime.HoursPerDay]float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			models[i%n].IPProfileInto(stamps[i/n%days][:], out[:])
+			sink += out[0]
+		}
+	})
+	if math.IsNaN(sink) {
+		b.Fatal("NaN IP")
 	}
 }

@@ -648,8 +648,8 @@ func (r *Runner) resumeHost(rt *hostRT, delay float64) {
 	rt.resumedAt = simtime.Time(math.Ceil(now + rt.profile.ResumeLatency))
 	// The probability only sizes the grace time; without grace the
 	// monitor ignores it, and no model is read. The residents' IPs come
-	// from their models' scores caches (core.Model.IPAt), written here
-	// only by the host's own shard.
+	// from their models' one-hour memos (core.Model.IPAt), which a miss
+	// writes; only the host's own shard reads them here.
 	p := 0.0
 	if r.cfg.UseGrace {
 		p = rt.host.Probability(simtime.HourOf(simtime.Time(now)))
