@@ -319,7 +319,7 @@ func BenchmarkRebalanceDrowsy(b *testing.B) {
 // round.
 func BenchmarkRebalanceNeat(b *testing.B) {
 	c := testbedCluster(16)
-	p := neat.New(neat.Options{})
+	p := neat.New()
 	util := make([]float64, len(c.Hosts()))
 	for h := simtime.Hour(0); h < 48; h++ {
 		for i, host := range c.Hosts() {

@@ -10,10 +10,12 @@
 // models (the core codec's sparse form), per-VM pending OS timers,
 // power-machine energy ledgers, suspend monitors, scheduled waking
 // dates, per-shard latency multisets and wake counters, per-MAC WoL
-// attempt serials, cluster migration ledgers and policy history — and
-// deliberately excludes pure caches that rebuild bit-identically
-// (trace memos, IP memos, the oasis idle index, engine event
-// sequence numbers, OS pids).
+// attempt serials and cluster migration ledgers — and deliberately
+// excludes pure caches that rebuild bit-identically (trace memos, IP
+// memos, the oasis idle index, engine event sequence numbers, OS pids).
+// No policy state is captured: the one hour of host utilization Neat's
+// overload detector reads is rebuilt on resume by replaying the hourly
+// recorder's last call.
 package checkpoint
 
 import "drowsydc/internal/metrics"
@@ -31,9 +33,12 @@ type RunState struct {
 	// diverging silently.
 	StartHour    int64
 	HorizonHours int64
-	// Policy is the policy's Name(); PolicyState is its opaque
-	// checkpoint blob (empty for stateless policies such as oasis).
-	Policy      string
+	// Policy is the policy's Name().
+	Policy string
+	// PolicyState is empty in every state dcsim captures: no policy
+	// checkpoints state. The field keeps its place so v1 and v2 blobs
+	// keep their layout; a blob from an older build may carry one, and
+	// resume refuses it.
 	PolicyState []byte
 	// VMs holds one entry per live VM in the cluster registry's exact
 	// iteration order at the boundary — the order is policy-visible, so

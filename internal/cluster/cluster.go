@@ -493,18 +493,21 @@ func SortVMsByMemDesc(vms []*VM) []*VM {
 }
 
 // HourRecorder is the per-hour observation hook of the Policy
-// interface: policies that maintain hourly state — utilization history
-// (Neat, Drowsy-DC) or the incremental idle index (Oasis) — implement
-// it, and the simulation runtime calls RecordHour once per simulated
-// hour, after the hour's activity played out and the idleness models
-// were fed. Policies driven outside a runtime (direct Rebalance calls)
-// must not rely on it; they lazily catch up instead.
+// interface: policies that maintain hourly state — the last hour's host
+// utilization (Neat, Drowsy-DC) or the incremental idle index (Oasis) —
+// implement it, and the simulation runtime calls RecordHour once per
+// simulated hour, after the hour's activity played out and the
+// idleness models were fed. A runner resumed at the boundary of hour hr
+// replays the last call, RecordHour(c, hr−1, util), before its first
+// round, so a recorder's state needs no checkpoint. Policies driven
+// outside a runtime (direct Rebalance calls) must not rely on it; they
+// lazily catch up instead.
 //
 // util holds every host's utilization for the hour just played,
 // indexed by Host.Pos: util[h.Pos()] is h.Utilization(hr), bit for
 // bit, unclamped. The runtime's host phase already sums it, so a
 // recorder reads it instead of re-reading every VM's activity. The
-// slice is reused across hours.
+// slice is reused across hours, so a recorder that keeps it copies it.
 type HourRecorder interface {
 	RecordHour(c *Cluster, hr simtime.Hour, util []float64)
 }

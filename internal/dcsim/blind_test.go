@@ -20,8 +20,8 @@ var blindCases = []struct {
 	policy  func() cluster.Policy
 	suspend bool
 }{
-	{"neat-s3", func() cluster.Policy { return neat.New(neat.Options{}) }, true},
-	{"neat", func() cluster.Policy { return neat.New(neat.Options{}) }, false},
+	{"neat-s3", func() cluster.Policy { return neat.New() }, true},
+	{"neat", func() cluster.Policy { return neat.New() }, false},
 	{"oasis", func() cluster.Policy { return oasis.New(oasis.Options{}) }, true},
 }
 
@@ -62,8 +62,8 @@ func TestObservingRunsFeedEveryPlacedVM(t *testing.T) {
 	}{
 		{"drowsy", drowsy.New(drowsy.Options{FullRelocation: true}), true, hours},
 		{"drowsy-no-grace", drowsy.New(drowsy.Options{FullRelocation: true}), false, hours},
-		{"neat-grace", neat.New(neat.Options{}), true, hours},
-		{"neat", neat.New(neat.Options{}), false, 0},
+		{"neat-grace", neat.New(), true, hours},
+		{"neat", neat.New(), false, 0},
 		{"oasis", oasis.New(oasis.Options{}), false, 0},
 	}
 	for _, tc := range cases {

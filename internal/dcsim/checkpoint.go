@@ -12,20 +12,13 @@ import (
 	"drowsydc/internal/suspend"
 )
 
-// policyState is the optional checkpoint surface of a policy: policies
-// whose decisions depend on accumulated run history (neat's utilization
-// history, and drowsy, which embeds it) implement it; purely
-// trace-driven policies (oasis rebuilds its idle rings from VM activity
-// alone) do not and are checkpointed as stateless.
-type policyState interface {
-	CheckpointState() ([]byte, error)
-	RestoreState(data []byte) error
-}
-
 // captureState snapshots the complete run state at the boundary of hour
 // hr (every hour below hr simulated, none at or above). It runs in the
 // serial phase — hour boundaries are the only instants the shards'
-// state is globally consistent.
+// state is globally consistent. It captures no policy state:
+// ResumeRunner replays the hourly recorder's last call, which restores
+// the one hour of utilization Neat's overload detector reads, and
+// oasis rebuilds its idle rings from traces.
 func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 	st := &checkpoint.RunState{
 		Hour:          int64(hr),
@@ -34,13 +27,6 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 		Policy:        r.policy.Name(),
 		Migrations:    int64(r.cluster.Migrations()),
 		MigrationSecs: r.cluster.MigrationSeconds(),
-	}
-	if ps, ok := r.policy.(policyState); ok {
-		data, err := ps.CheckpointState()
-		if err != nil {
-			panic(fmt.Sprintf("dcsim: policy %q checkpoint: %v", r.policy.Name(), err))
-		}
-		st.PolicyState = data
 	}
 	for _, v := range r.cluster.VMs() {
 		vs := checkpoint.VMState{ID: int32(v.ID), Migrations: int32(v.Migrations())}
@@ -130,13 +116,18 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 // A resumed run cannot carry a Probe: per-hour samples before the
 // checkpoint are gone, and the flight recorder (or a placement probe's
 // colocation matrix) would silently report a truncated history. It is
-// rejected with an error, not silently dropped.
+// rejected with an error, not silently dropped. Nor can it restore a
+// policy state blob: captureState writes none, and no policy reads one.
 func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *checkpoint.RunState) (*Runner, error) {
 	if cfg.Probe != nil {
 		return nil, fmt.Errorf("dcsim: a resumed run cannot attach a probe")
 	}
 	if st.Policy != policy.Name() {
 		return nil, fmt.Errorf("dcsim: checkpoint from policy %q cannot resume policy %q", st.Policy, policy.Name())
+	}
+	if len(st.PolicyState) > 0 {
+		return nil, fmt.Errorf("dcsim: checkpoint carries %d bytes of policy state, which policy %q cannot restore",
+			len(st.PolicyState), policy.Name())
 	}
 	if int64(cfg.StartHour) != st.StartHour || int64(cfg.Hours) != st.HorizonHours {
 		return nil, fmt.Errorf("dcsim: checkpoint from a [%d,+%d) run cannot resume a [%d,+%d) run",
@@ -304,6 +295,17 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 			return nil, fmt.Errorf("dcsim: VM %d has a timer but no host", st.VMs[i].ID)
 		}
 	}
+	// Replay the hourly recorder's last call. The host phase handed it
+	// each host's utilization for hour hr−1 under the placements just
+	// restored, and that quotient is Host.Utilization's own result, bit
+	// for bit (TestRecordHourGetsHostUtilization), so the recorder sees
+	// the table it saw in the straight-through run.
+	if rec, ok := policy.(cluster.HourRecorder); ok {
+		for i, h := range c.Hosts() {
+			r.util[i] = h.Utilization(hr - 1)
+		}
+		rec.RecordHour(c, hr-1, r.util)
+	}
 
 	if len(st.Shards) != len(r.shards) {
 		return nil, fmt.Errorf("dcsim: checkpoint holds %d shards, the fleet partitions into %d (span %d)",
@@ -339,13 +341,6 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		}
 	}
 	c.RestoreMigrationLedger(int(st.Migrations), st.MigrationSecs)
-	if ps, ok := r.policy.(policyState); ok {
-		if err := ps.RestoreState(st.PolicyState); err != nil {
-			return nil, fmt.Errorf("dcsim: policy %q state: %w", policy.Name(), err)
-		}
-	} else if len(st.PolicyState) > 0 {
-		return nil, fmt.Errorf("dcsim: checkpoint carries policy state but %q cannot restore it", policy.Name())
-	}
 
 	r.restored = true
 	r.startIndex = int(idx)

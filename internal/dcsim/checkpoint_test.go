@@ -3,6 +3,7 @@ package dcsim
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"drowsydc/internal/checkpoint"
@@ -63,7 +64,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		{name: "cross-workers", capWorkers: 1, resumeWorkers: 8},
 		{name: "churn", capWorkers: 8, resumeWorkers: 1, churn: true},
 		{name: "churn-neat", capWorkers: 8, resumeWorkers: 1, churn: true,
-			policy: func() cluster.Policy { return neat.New(neat.Options{}) }},
+			policy: func() cluster.Policy { return neat.New() }},
 		{name: "churn-oasis", capWorkers: 8, resumeWorkers: 1, churn: true,
 			policy: func() cluster.Policy { return oasis.New(oasis.Options{}) }},
 		{name: "lossy", capWorkers: 1, resumeWorkers: 1, lossy: true},
@@ -111,6 +112,79 @@ func TestResumeBitIdentical(t *testing.T) {
 				}
 				got := r2.Run()
 				requireIdenticalResults(t, fmt.Sprintf("resume@%d", hr), want, got)
+			}
+		})
+	}
+}
+
+// overloadFleet builds 12 hosts of 4 vCPUs and 2 slots holding 20
+// two-vCPU mostly-used VMs placed round-robin: two such VMs load a host
+// past THR's threshold in most hours, so most rounds relieve some host.
+func overloadFleet() *cluster.Cluster {
+	c := cluster.New()
+	for i := 0; i < 12; i++ {
+		c.AddHost(cluster.NewHost(i, fmt.Sprintf("H%d", i), 16, 4, 2))
+	}
+	for i := 0; i < 20; i++ {
+		v := cluster.NewVM(i, fmt.Sprintf("u%d", i), cluster.KindLLMU, 4, 2, trace.LLMU(uint64(i)))
+		c.AddVM(v)
+		_ = c.Place(v, c.Hosts()[i%12])
+	}
+	return c
+}
+
+// TestResumeNextToOverload resumes a run from every hour boundary under
+// the two policies whose rounds read THR: a resumed run's first round
+// flags the hosts the recorder's replay of the hour before the boundary
+// puts over the threshold, and the checkpoint carries no history to
+// fall back on. Neat must see an overloaded host right after some
+// resume, or the suite would not reach the replay.
+func TestResumeNextToOverload(t *testing.T) {
+	const hours = 72
+	for _, tc := range []struct {
+		name   string
+		policy func() cluster.Policy
+	}{
+		{"neat", func() cluster.Policy { return neat.New() }},
+		{"drowsy", func() cluster.Policy { return drowsy.New(drowsy.Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Hours: hours, EnableSuspend: true, CheckpointEveryHours: 1}
+			blobs := map[simtime.Hour][]byte{}
+			capture := cfg
+			capture.Checkpoint = func(hr simtime.Hour, data []byte) {
+				blobs[hr] = append([]byte(nil), data...)
+			}
+			want := NewRunner(capture, overloadFleet(), tc.policy()).Run()
+			if len(blobs) != hours-1 {
+				t.Fatalf("captured %d checkpoints, want %d", len(blobs), hours-1)
+			}
+			overloaded := 0
+			for hr := simtime.Hour(1); hr < hours; hr++ {
+				st, err := checkpoint.Decode(blobs[hr])
+				if err != nil {
+					t.Fatalf("decode checkpoint at %d: %v", hr, err)
+				}
+				c := overloadFleet()
+				pol := tc.policy()
+				r, err := ResumeRunner(cfg, c, pol, st)
+				if err != nil {
+					t.Fatalf("resume at %d: %v", hr, err)
+				}
+				if p, ok := pol.(*neat.Policy); ok {
+					for _, h := range c.Hosts() {
+						if p.Overloaded(h) {
+							overloaded++
+						}
+					}
+				}
+				requireIdenticalResults(t, fmt.Sprintf("resume@%d", hr), want, r.Run())
+			}
+			if tc.name == "neat" {
+				if overloaded == 0 {
+					t.Fatal("no host is overloaded right after any resume: the fleet does not exercise the replay")
+				}
+				t.Logf("%d overloaded (host, boundary) pairs", overloaded)
 			}
 		})
 	}
@@ -232,6 +306,21 @@ func TestResumeRejections(t *testing.T) {
 			other.Departed = departed
 			if _, err := ResumeRunner(cfg4, c4, pol(), &other); err == nil {
 				t.Fatalf("%s departed list accepted", name)
+			}
+		}
+	})
+	t.Run("policy state", func(t *testing.T) {
+		// No policy restores a state blob: resume refuses one under
+		// every policy instead of dropping it.
+		for _, p := range []cluster.Policy{
+			drowsy.New(drowsy.Options{}), pol(), neat.New(), oasis.New(oasis.Options{}),
+		} {
+			c2, cfg2 := fresh()
+			other := *st
+			other.Policy = p.Name()
+			other.PolicyState = []byte{1, 2, 3, 4}
+			if _, err := ResumeRunner(cfg2, c2, p, &other); err == nil || !strings.Contains(err.Error(), "policy state") {
+				t.Fatalf("%s: resume of a checkpoint with policy state: %v", p.Name(), err)
 			}
 		}
 	})

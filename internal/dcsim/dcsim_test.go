@@ -60,7 +60,7 @@ func runPolicy(t *testing.T, name string, hours int, enableSuspend, useGrace boo
 	case "drowsy":
 		pol = drowsy.New(drowsy.Options{FullRelocation: true})
 	case "neat":
-		pol = neat.New(neat.Options{})
+		pol = neat.New()
 	case "oasis":
 		pol = oasis.New(oasis.Options{})
 	default:
@@ -222,7 +222,7 @@ func TestTimerDrivenWakeAvoidsPenalty(t *testing.T) {
 	c.AddVM(v)
 	_ = c.Place(v, c.Hosts()[0])
 	r := NewRunner(Config{Hours: 5 * 24, EnableSuspend: true, UseGrace: true},
-		c, neat.New(neat.Options{Underload: 1e-9}))
+		c, neat.New())
 	res := r.Run()
 	if res.ScheduledWakes == 0 {
 		t.Fatal("no scheduled wakes fired; the timer path is dead")
@@ -291,7 +291,7 @@ func TestRunnerValidation(t *testing.T) {
 				t.Error("zero hours should panic")
 			}
 		}()
-		NewRunner(Config{}, c, neat.New(neat.Options{}))
+		NewRunner(Config{}, c, neat.New())
 	}()
 }
 
@@ -328,7 +328,7 @@ func TestNewRunnerRejectsDuplicateIDs(t *testing.T) {
 					t.Errorf("%s: panic %q, want %q", tc.name, msg, tc.want)
 				}
 			}()
-			NewRunner(cfg, c, neat.New(neat.Options{}))
+			NewRunner(cfg, c, neat.New())
 		}()
 	}
 }
@@ -345,7 +345,7 @@ func TestStartHourOffset(t *testing.T) {
 
 func TestWakingModuleAccessor(t *testing.T) {
 	c := testbed()
-	r := NewRunner(Config{Hours: 1, EnableSuspend: true}, c, neat.New(neat.Options{}))
+	r := NewRunner(Config{Hours: 1, EnableSuspend: true}, c, neat.New())
 	if r.WakingModule() == nil {
 		t.Fatal("nil waking module")
 	}
@@ -398,7 +398,7 @@ func TestArrivalValidation(t *testing.T) {
 				t.Error("nil arrival VM should panic")
 			}
 		}()
-		NewRunner(Config{Hours: 24, Arrivals: []Arrival{{At: 1, VM: nil}}}, c, neat.New(neat.Options{}))
+		NewRunner(Config{Hours: 24, Arrivals: []Arrival{{At: 1, VM: nil}}}, c, neat.New())
 	}()
 }
 
@@ -420,7 +420,7 @@ func TestSLMULifecycle(t *testing.T) {
 		Arrivals:      []Arrival{{At: 24, VM: job}},
 		Departures:    []Departure{{At: 3 * 24, VM: job}},
 		Probe:         coloc,
-	}, c, neat.New(neat.Options{}))
+	}, c, neat.New())
 	res := r.Run()
 	if job.Host() != nil {
 		t.Fatal("departed VM still placed")
@@ -456,7 +456,7 @@ func TestDepartureOfUnknownVMIsSafe(t *testing.T) {
 		Hours:         24,
 		EnableSuspend: true,
 		Departures:    []Departure{{At: 5, VM: ghost}},
-	}, c2, neat.New(neat.Options{}))
+	}, c2, neat.New())
 	res := r.Run()
 	if res.EnergyKWh <= 0 {
 		t.Fatal("run broken")

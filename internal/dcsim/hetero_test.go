@@ -39,7 +39,7 @@ func TestHostProfilesEnergy(t *testing.T) {
 	res := NewRunner(Config{
 		Hours:        7 * 24,
 		HostProfiles: map[int]power.Profile{1: legacy},
-	}, heteroCluster(), neat.New(neat.Options{})).Run()
+	}, heteroCluster(), neat.New()).Run()
 	if len(res.HostEnergyKWh) != 2 {
 		t.Fatalf("want 2 host energies, got %d", len(res.HostEnergyKWh))
 	}

@@ -91,9 +91,10 @@ func recorderFleet() (*cluster.Cluster, []*cluster.VM) {
 // TestRecordHourGetsHostUtilization is the tripwire for the handed-over
 // table: at hourly and event resolution, serial and sharded, with
 // arrivals and departures, every hour's util[h.Pos()] equals
-// h.Utilization(hr) bit for bit. The fleet must overload some host and
-// empty a loaded one, or the check would miss a clamped or skipped
-// store.
+// h.Utilization(hr) bit for bit. ResumeRunner's replay of the
+// recorder's last call depends on it: it recomputes the table with
+// Host.Utilization. The fleet must overload some host and empty a
+// loaded one, or the check would miss a clamped or skipped store.
 func TestRecordHourGetsHostUtilization(t *testing.T) {
 	for _, res := range []Resolution{ResolutionHourly, ResolutionEvent} {
 		for _, workers := range []int{1, 2, 8} {
@@ -115,7 +116,7 @@ func TestRecordHourGetsHostUtilization(t *testing.T) {
 						{At: 100, VM: arrivals[1]}, {At: 100, VM: c.VMs()[1]},
 					},
 				}
-				p := &utilRecorder{Policy: neat.New(neat.Options{}), t: t, label: label}
+				p := &utilRecorder{Policy: neat.New(), t: t, label: label}
 				NewRunner(cfg, c, p).Run()
 				if p.hours != cfg.Hours {
 					t.Fatalf("recorder ran %d hours, want %d", p.hours, cfg.Hours)

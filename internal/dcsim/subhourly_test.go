@@ -21,7 +21,7 @@ func runTestbedAt(t *testing.T, hours int, res Resolution, profile power.Profile
 		UseGrace:      true,
 		Resolution:    res,
 		Profile:       profile,
-	}, c, neat.New(neat.Options{}))
+	}, c, neat.New())
 	return r.Run()
 }
 
@@ -37,7 +37,7 @@ func TestHourlyDefaultIsZeroValue(t *testing.T) {
 		Hours:         7 * 24,
 		EnableSuspend: true,
 		Resolution:    ResolutionHourly,
-	}, testbed(), neat.New(neat.Options{})).Run()
+	}, testbed(), neat.New()).Run()
 	if !reflect.DeepEqual(implicit, explicit) {
 		t.Fatal("explicit hourly resolution differs from the zero-value config")
 	}
@@ -136,7 +136,7 @@ func TestEventModeFullHourBurstsTakeHourlyPath(t *testing.T) {
 		EnableSuspend: true,
 		UseGrace:      true,
 		Resolution:    ResolutionEvent,
-	}, c, neat.New(neat.Options{})).Run()
+	}, c, neat.New()).Run()
 	if res.EventHours != 0 {
 		t.Fatalf("%d event hours on a fully busy VM, want 0", res.EventHours)
 	}
@@ -149,7 +149,7 @@ func TestUnknownResolutionPanics(t *testing.T) {
 			t.Fatal("unknown resolution did not panic")
 		}
 	}()
-	NewRunner(Config{Hours: 1, Resolution: Resolution(7)}, testbed(), neat.New(neat.Options{}))
+	NewRunner(Config{Hours: 1, Resolution: Resolution(7)}, testbed(), neat.New())
 }
 
 // TestParseResolution covers the CLI-facing parser.

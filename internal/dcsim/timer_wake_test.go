@@ -50,7 +50,7 @@ func TestEventTimerRegisteredAtFirstBurst(t *testing.T) {
 	// Event resolution: the hr-timer lands on the first burst.
 	c, v := backupCluster(id)
 	r := NewRunner(Config{StartHour: 3, Hours: 20, EnableSuspend: true, UseGrace: true,
-		Resolution: ResolutionEvent}, c, neat.New(neat.Options{Underload: 1e-9}))
+		Resolution: ResolutionEvent}, c, neat.New())
 	_ = r.Run()
 	burstStart := v.Bursts(wakeHour)[0].Start
 	if burstStart <= 0 {
@@ -65,7 +65,7 @@ func TestEventTimerRegisteredAtFirstBurst(t *testing.T) {
 	// Hourly resolution: the boundary registration is unchanged.
 	c2, v2 := backupCluster(id)
 	r2 := NewRunner(Config{StartHour: 3, Hours: 20, EnableSuspend: true, UseGrace: true},
-		c2, neat.New(neat.Options{Underload: 1e-9}))
+		c2, neat.New())
 	_ = r2.Run()
 	if got := r2.vms[v2.Slot()].timerAt; got != wakeHour.Start() {
 		t.Fatalf("hourly hr-timer at t=%d, want hour start t=%d", got, wakeHour.Start())
@@ -77,7 +77,7 @@ func TestEventTimerWakeFiresAheadOfBurst(t *testing.T) {
 	run := func(res Resolution) *Result {
 		c, _ := backupCluster(id)
 		return NewRunner(Config{StartHour: 3, Hours: 30, EnableSuspend: true, UseGrace: true,
-			Resolution: res}, c, neat.New(neat.Options{Underload: 1e-9})).Run()
+			Resolution: res}, c, neat.New()).Run()
 	}
 	ev := run(ResolutionEvent)
 	// The clamped date still fires through the scheduled path — counted

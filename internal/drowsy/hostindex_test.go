@@ -37,13 +37,12 @@ func (p *linearPolicy) rebalance(c *cluster.Cluster, hr simtime.Hour) {
 }
 
 func (p *linearPolicy) relieveOverloaded(c *cluster.Cluster, hr simtime.Hour) {
-	nopts := p.neat.Options()
 	for _, h := range c.Hosts() {
-		if !nopts.Overload.Overloaded(p.neat.History(h.ID)) {
+		if !p.neat.Overloaded(h) {
 			continue
 		}
 		for _, v := range p.selectionOrder(h, hr) {
-			if h.Utilization(hr) <= nopts.OverloadThr {
+			if h.Utilization(hr) <= neat.OverloadThreshold {
 				break
 			}
 			dst, err := p.placeClosestIP(c, v, hr, h)
@@ -77,7 +76,7 @@ func (p *linearPolicy) selectionOrder(h *cluster.Host, hr simtime.Hour) []*clust
 
 func (p *linearPolicy) placeClosestIP(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, avoid *cluster.Host) (*cluster.Host, error) {
 	vip := p.vmIP(v, hr)
-	best := linearClosestIP(c, v, vip, hr, avoid, p.neat.Options().OverloadThr)
+	best := linearClosestIP(c, v, vip, hr, avoid)
 	p.probes += uint64(len(c.Hosts())) // at least one full scan
 	if best == nil {
 		return nil, fmt.Errorf("no destination for VM %s", v.Name)
@@ -86,9 +85,9 @@ func (p *linearPolicy) placeClosestIP(c *cluster.Cluster, v *cluster.VM, hr simt
 }
 
 // linearClosestIP is the destination scan itself: the suitable host
-// with the IP closest to vip under the CPU budget, relaxed when none
+// with the IP closest to vip under Neat's CPU budget, relaxed when none
 // fits, first in cluster order among equals.
-func linearClosestIP(c *cluster.Cluster, v *cluster.VM, vip float64, hr simtime.Hour, avoid *cluster.Host, thr float64) *cluster.Host {
+func linearClosestIP(c *cluster.Cluster, v *cluster.VM, vip float64, hr simtime.Hour, avoid *cluster.Host) *cluster.Host {
 	demand := v.Activity(hr) * float64(v.VCPUs)
 	pick := func(relaxed bool) *cluster.Host {
 		var best *cluster.Host
@@ -97,7 +96,7 @@ func linearClosestIP(c *cluster.Cluster, v *cluster.VM, vip float64, hr simtime.
 			if h == avoid || h == v.Host() || !h.CanHost(v) {
 				continue
 			}
-			if !relaxed && h.Utilization(hr)+demand/float64(h.VCPUs) > thr {
+			if !relaxed && h.Utilization(hr)+demand/float64(h.VCPUs) > neat.OverloadThreshold {
 				continue
 			}
 			if d := math.Abs(h.IP(hr) - vip); d < bestDist {
@@ -114,13 +113,12 @@ func linearClosestIP(c *cluster.Cluster, v *cluster.VM, vip float64, hr simtime.
 }
 
 func (p *linearPolicy) evacuateUnderloaded(c *cluster.Cluster, hr simtime.Hour) {
-	nopts := p.neat.Options()
 	hosts := append([]*cluster.Host(nil), c.Hosts()...)
 	sort.SliceStable(hosts, func(i, j int) bool {
 		return hosts[i].Utilization(hr) < hosts[j].Utilization(hr)
 	})
 	for _, h := range hosts {
-		if h.NumVMs() == 0 || h.Utilization(hr) >= nopts.Underload {
+		if h.NumVMs() == 0 || h.Utilization(hr) >= neat.UnderloadThreshold {
 			continue
 		}
 		for _, v := range cluster.SortVMsByMemDesc(h.VMs()) {
@@ -245,7 +243,6 @@ func TestClosestIPMatchesLinearScan(t *testing.T) {
 	const hr = simtime.Hour(100)
 	rng := rand.New(rand.NewPCG(7, 11))
 	p := New(Options{})
-	thr := p.Neat().Options().OverloadThr
 	queries := 0
 	for trial := 0; trial < 400; trial++ {
 		c := tieFleet(rng)
@@ -264,7 +261,7 @@ func TestClosestIPMatchesLinearScan(t *testing.T) {
 				case 1:
 					avoid = hosts[rng.IntN(len(hosts))]
 				}
-				want := linearClosestIP(c, v, v.IP(hr), hr, avoid, thr)
+				want := linearClosestIP(c, v, v.IP(hr), hr, avoid)
 				var got *cluster.Host
 				if i := p.placeClosestIP(x, v, avoid); i >= 0 {
 					got = hosts[i]
@@ -333,7 +330,7 @@ func TestProductionRebalanceMatchesLinearReference(t *testing.T) {
 	const hosts = 48
 	a, b := packedFleet(hosts), packedFleet(hosts)
 	p := New(Options{})
-	ref := &linearPolicy{neat: neat.New(neat.Options{})}
+	ref := &linearPolicy{neat: neat.New()}
 	for hr := simtime.Hour(0); hr < 7*24; hr++ {
 		for _, c := range []*cluster.Cluster{a, b} {
 			for _, v := range c.VMs() {
@@ -371,14 +368,16 @@ func TestProductionRebalanceMatchesLinearReference(t *testing.T) {
 func BenchmarkProductionRound(b *testing.B) {
 	for _, hosts := range []int{256, 1024} {
 		c := packedFleet(hosts)
-		ref := &linearPolicy{neat: neat.New(neat.Options{})}
-		p := New(Options{Neat: ref.neat})
+		ref := &linearPolicy{neat: neat.New()}
+		p := New(Options{})
 		const trained = 48
 		for hr := simtime.Hour(0); hr < trained; hr++ {
 			for _, v := range c.VMs() {
 				v.Model.Observe(simtime.Decompose(hr), v.Activity(hr))
 			}
-			ref.neat.RecordHour(c, hr, utilAt(c, hr))
+			util := utilAt(c, hr)
+			p.RecordHour(c, hr, util)
+			ref.neat.RecordHour(c, hr, util)
 		}
 		vms := append([]*cluster.VM(nil), c.VMs()...)
 		start := c.Assignments()

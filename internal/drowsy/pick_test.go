@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"drowsydc/internal/cluster"
+	"drowsydc/internal/neat"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -18,7 +19,6 @@ import (
 // reference pick must reproduce exactly.
 func linearPick(p *Policy, hosts []*cluster.Host, v *cluster.VM, vprof *[ProfileHours]float64, demand float64, relaxed bool) int {
 	state, means := p.scratch.state, p.scratch.means
-	cpuBudget := p.opts.Neat.Options().OverloadThr
 	best := -1
 	bestScore := math.Inf(1)
 	for hi, h := range hosts {
@@ -29,7 +29,7 @@ func linearPick(p *Policy, hosts []*cluster.Host, v *cluster.VM, vprof *[Profile
 		if b.mem+v.MemGB > h.MemGB {
 			continue
 		}
-		if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > cpuBudget {
+		if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > neat.OverloadThreshold {
 			continue
 		}
 		eps := 0.0

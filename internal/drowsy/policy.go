@@ -49,45 +49,34 @@ const DistanceTolerance = core.Sigma
 // below σ, it can never override a behavioural difference.
 const tieEpsilon = 1e-12
 
+// StickyTolerance is the IP-distance bonus a VM's current host gets in
+// full-relocation mode, as required alignment gain per migration; it
+// keeps placements stable once matching VMs have converged without
+// blocking early re-pairing (it only applies when the current host
+// keeps other VMs — staying on an otherwise-empty host preserves no
+// colocation relationship). σ/10: profile distances between genuinely
+// different behaviours grow by a few σ/10 per week of observations,
+// while jitter-driven profile noise stays an order of magnitude below.
+// Measured on the testbed and the DC-scale sweep, this converges within
+// days with under one migration per VM per week and no flapping.
+const StickyTolerance = DistanceTolerance / 10
+
 // Options configures the policy.
 type Options struct {
-	// Neat supplies the detection stages and classic thresholds. Nil
-	// selects neat.New(neat.Options{}).
-	Neat *neat.Policy
 	// FullRelocation enables the evaluation mode of §VI-A-1: every
 	// rebalance reconsiders the placement of all VMs instead of waiting
 	// for an overload/underload trigger. The paper uses it to expose the
 	// consolidation quality; it performs more migrations than production
 	// settings would.
 	FullRelocation bool
-	// StickyTolerance is the IP-distance bonus a VM's current host gets
-	// in full-relocation mode; it keeps placements stable once matching
-	// VMs have converged without blocking early re-pairing (it only
-	// applies when the current host keeps other VMs — staying on an
-	// otherwise-empty host preserves no colocation relationship). Zero
-	// selects DistanceTolerance (σ).
-	StickyTolerance float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Neat == nil {
-		o.Neat = neat.New(neat.Options{})
-	}
-	if o.StickyTolerance == 0 {
-		// σ/10 of required gain per migration: profile distances
-		// between genuinely different behaviours grow by a few σ/10 per
-		// week of observations, while jitter-driven profile noise stays
-		// an order of magnitude below. Measured on the testbed and the
-		// DC-scale sweep, this converges within days with under one
-		// migration per VM per week and no flapping.
-		o.StickyTolerance = DistanceTolerance / 10
-	}
-	return o
 }
 
 // Policy is the Drowsy-DC consolidation policy.
 type Policy struct {
 	opts Options
+	// neat supplies the detection stages: RecordHour feeds it, and the
+	// production round asks it which hosts are overloaded.
+	neat *neat.Policy
 	// ipEvaluations counts IP lookups during rebalancing; together with
 	// oasis.PairEvaluations it supports the O(n) vs O(n²) comparison of
 	// §VII.
@@ -118,7 +107,7 @@ type Policy struct {
 }
 
 // New creates a Drowsy-DC policy.
-func New(opts Options) *Policy { return &Policy{opts: opts.withDefaults()} }
+func New(opts Options) *Policy { return &Policy{opts: opts, neat: neat.New()} }
 
 // Name implements cluster.Policy.
 func (p *Policy) Name() string {
@@ -128,28 +117,14 @@ func (p *Policy) Name() string {
 	return "drowsy"
 }
 
-// Neat exposes the wrapped Neat policy (the simulation runtime feeds its
-// utilization history).
-func (p *Policy) Neat() *neat.Policy { return p.opts.Neat }
-
 // RecordHour forwards the hourly utilization observation to the wrapped
-// Neat policy, whose detectors Drowsy-DC reuses.
+// Neat policy, whose overload detector Drowsy-DC reuses.
 func (p *Policy) RecordHour(c *cluster.Cluster, hr simtime.Hour, util []float64) {
-	p.opts.Neat.RecordHour(c, hr, util)
+	p.neat.RecordHour(c, hr, util)
 }
 
 // IPEvaluations returns the cumulative number of per-VM IP evaluations.
 func (p *Policy) IPEvaluations() uint64 { return p.ipEvaluations }
-
-// CheckpointState serializes the policy's durable state for run
-// checkpoints: the wrapped Neat utilization history. Everything else in
-// the policy is configuration, round-scratch buffers rebuilt each
-// rebalance, or the ipEvaluations counter (visible only to the §VII
-// complexity experiment, which does not checkpoint).
-func (p *Policy) CheckpointState() ([]byte, error) { return p.opts.Neat.CheckpointState() }
-
-// RestoreState restores a previously captured CheckpointState.
-func (p *Policy) RestoreState(data []byte) error { return p.opts.Neat.RestoreState(data) }
 
 // vmIP reads a VM's IP for the next interval and counts the evaluation.
 func (p *Policy) vmIP(v *cluster.VM, hr simtime.Hour) float64 {
@@ -212,13 +187,12 @@ func (p *Policy) round(c *cluster.Cluster, hr simtime.Hour) *hostIndex {
 // relieveOverloaded is Neat step 2+3+4 with IP-aware selection and
 // placement.
 func (p *Policy) relieveOverloaded(x *hostIndex) {
-	nopts := p.opts.Neat.Options()
 	for i, h := range x.hosts {
-		if !nopts.Overload.Overloaded(p.opts.Neat.History(h.ID)) {
+		if !p.neat.Overloaded(h) {
 			continue
 		}
 		for _, v := range p.selectionOrder(h, x.hr) {
-			if h.Utilization(x.hr) <= nopts.OverloadThr {
+			if h.Utilization(x.hr) <= neat.OverloadThreshold {
 				break
 			}
 			dst := p.placeClosestIP(x, v, h)
@@ -268,7 +242,6 @@ func (p *Policy) selectionOrder(h *cluster.Host, hr simtime.Hour) []*cluster.VM 
 // than a temporary hot spot). Equally close hosts resolve to the first
 // in cluster order.
 func (p *Policy) placeClosestIP(x *hostIndex, v *cluster.VM, avoid *cluster.Host) int {
-	thr := p.opts.Neat.Options().OverloadThr
 	vip := p.vmIP(v, x.hr)
 	demand := v.Activity(x.hr) * float64(v.VCPUs)
 	pick := func(relaxed bool) int {
@@ -277,7 +250,7 @@ func (p *Policy) placeClosestIP(x *hostIndex, v *cluster.VM, avoid *cluster.Host
 			if h == avoid || h == v.Host() || !h.CanHost(v) {
 				return false
 			}
-			return relaxed || !(h.Utilization(x.hr)+demand/float64(h.VCPUs) > thr)
+			return relaxed || !(h.Utilization(x.hr)+demand/float64(h.VCPUs) > neat.OverloadThreshold)
 		})
 	}
 	if i := pick(false); i >= 0 {
@@ -289,10 +262,9 @@ func (p *Policy) placeClosestIP(x *hostIndex, v *cluster.VM, avoid *cluster.Host
 // evacuateUnderloaded is Neat step 1 with IP-aware placement of the
 // displaced VMs.
 func (p *Policy) evacuateUnderloaded(x *hostIndex) {
-	nopts := p.opts.Neat.Options()
 	for _, i := range x.byUtilization() {
 		h := x.hosts[i]
-		if h.NumVMs() == 0 || h.Utilization(x.hr) >= nopts.Underload {
+		if h.NumVMs() == 0 || h.Utilization(x.hr) >= neat.UnderloadThreshold {
 			continue
 		}
 		for _, v := range cluster.SortVMsByMemDesc(h.VMs()) {
@@ -532,7 +504,7 @@ func (p *Policy) fullRelocate(c *cluster.Cluster, hr simtime.Hour, pick pickFunc
 		}
 		curCost := p.alignmentCost(backing, curJ, nil, len(hosts))
 		planCost := p.alignmentCost(backing, curJ, planJ, len(hosts))
-		if curCost-planCost <= float64(moves)*p.opts.StickyTolerance {
+		if curCost-planCost <= float64(moves)*StickyTolerance {
 			return // not enough improvement to justify the churn
 		}
 	}
@@ -567,7 +539,6 @@ type pickFunc func(p *Policy, hosts []*cluster.Host, v *cluster.VM, vprof *[Prof
 // hosts are empty for most of the VMs.
 func (p *Policy) pick(hosts []*cluster.Host, v *cluster.VM, vprof *[ProfileHours]float64, demand float64, relaxed bool) int {
 	state, means := p.scratch.state, p.scratch.means
-	cpuBudget := p.opts.Neat.Options().OverloadThr
 	empty := 0.0
 	for _, x := range vprof {
 		empty += math.Abs(x)
@@ -583,7 +554,7 @@ func (p *Policy) pick(hosts []*cluster.Host, v *cluster.VM, vprof *[ProfileHours
 		if b.mem+v.MemGB > h.MemGB {
 			continue
 		}
-		if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > cpuBudget {
+		if !relaxed && (b.cpu+demand)/float64(h.VCPUs) > neat.OverloadThreshold {
 			continue
 		}
 		// Near-ties resolve toward the current host so a converged pair

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"drowsydc/internal/cluster"
-	"drowsydc/internal/neat"
 	"drowsydc/internal/simtime"
 	"drowsydc/internal/trace"
 )
@@ -220,7 +219,7 @@ func TestRebalanceComposesNeatSteps(t *testing.T) {
 	}
 	p := New(Options{})
 	for hr := simtime.Hour(0); hr < 3; hr++ {
-		p.Neat().RecordHour(c, hr, utilAt(c, hr))
+		p.RecordHour(c, hr, utilAt(c, hr))
 	}
 	p.Rebalance(c, 3)
 	if c.Hosts()[1].NumVMs() == 0 {
@@ -292,11 +291,5 @@ func TestNames(t *testing.T) {
 	}
 	if New(Options{FullRelocation: true}).Name() != "drowsy-full" {
 		t.Fatal("full-relocation name")
-	}
-	if New(Options{}).Neat() == nil {
-		t.Fatal("default Neat missing")
-	}
-	if New(Options{Neat: neat.New(neat.Options{})}).Neat() == nil {
-		t.Fatal("explicit Neat lost")
 	}
 }

@@ -1,9 +1,6 @@
 package neat
 
 import (
-	"bytes"
-	"math"
-	"slices"
 	"testing"
 
 	"drowsydc/internal/cluster"
@@ -21,84 +18,31 @@ func utilAt(c *cluster.Cluster, hr simtime.Hour) []float64 {
 	return util
 }
 
+// TestTHRDetector: Overloaded reads a copy of the last recorded hour
+// only, and fires strictly above OverloadThreshold; a host with no
+// recorded hour is not overloaded.
 func TestTHRDetector(t *testing.T) {
-	d := THR{0.8}
-	if d.Overloaded(nil) {
-		t.Fatal("empty history cannot be overloaded")
+	c := cluster.New()
+	for i := 0; i < 3; i++ {
+		c.AddHost(cluster.NewHost(i, "h", 16, 8, 0))
 	}
-	if d.Overloaded([]float64{0.5, 0.79}) {
-		t.Fatal("below threshold")
+	hosts := c.Hosts()
+	p := New()
+	if p.Overloaded(hosts[0]) {
+		t.Fatal("a host with no recorded hour cannot be overloaded")
 	}
-	if !d.Overloaded([]float64{0.1, 0.85}) {
-		t.Fatal("above threshold")
+	util := []float64{0.85, 0.79, OverloadThreshold}
+	p.RecordHour(c, 0, util)
+	if !p.Overloaded(hosts[0]) || p.Overloaded(hosts[1]) || p.Overloaded(hosts[2]) {
+		t.Fatal("only the host above the threshold is overloaded")
 	}
-}
-
-func TestMADDetector(t *testing.T) {
-	d := MAD{Safety: 2.5}
-	// Short history falls back to THR.
-	if !d.Overloaded([]float64{0.9}) {
-		t.Fatal("short-history fallback broken")
+	util[0], util[1] = 0.5, 0.9 // the runtime reuses its table
+	if !p.Overloaded(hosts[0]) || p.Overloaded(hosts[1]) {
+		t.Fatal("Overloaded reads the caller's table, not its copy")
 	}
-	// Mildly variable load: MAD = 0.05, threshold = 1 − 2.5·0.05 = 0.875.
-	stable := make([]float64, 50)
-	for i := range stable {
-		stable[i] = 0.45 + 0.1*float64(i%2)
-	}
-	if d.Overloaded(stable) {
-		t.Fatal("load well under the adaptive threshold should not be overloaded")
-	}
-	spike := append(append([]float64(nil), stable...), 0.9)
-	if !d.Overloaded(spike) {
-		t.Fatal("spike past the adaptive threshold should trip")
-	}
-}
-
-func TestIQRDetector(t *testing.T) {
-	d := IQR{Safety: 1.5}
-	var hist []float64
-	for i := 0; i < 50; i++ {
-		hist = append(hist, 0.2+0.4*float64(i%2)) // alternating 0.2/0.6: IQR 0.4
-	}
-	// Threshold = 1 − 1.5·0.4 = 0.4; latest 0.6 > 0.4 → overloaded.
-	if !d.Overloaded(hist) {
-		t.Fatal("variable load should reserve headroom")
-	}
-	calm := make([]float64, 50)
-	for i := range calm {
-		calm[i] = 0.3
-	}
-	if d.Overloaded(calm) {
-		t.Fatal("calm load under threshold")
-	}
-}
-
-func TestLRDetector(t *testing.T) {
-	d := LR{Safety: 1.2, Window: 10}
-	// Rising trend: 0.0, 0.1, ... 0.9 → prediction 1.0, inflated 1.2 → overload.
-	var rising []float64
-	for i := 0; i < 10; i++ {
-		rising = append(rising, float64(i)*0.1)
-	}
-	if !d.Overloaded(rising) {
-		t.Fatal("rising trend should predict overload")
-	}
-	flat := make([]float64, 10)
-	for i := range flat {
-		flat[i] = 0.3
-	}
-	if d.Overloaded(flat) {
-		t.Fatal("flat load should not predict overload")
-	}
-}
-
-func TestDetectorNames(t *testing.T) {
-	dets := []OverloadDetector{THR{}, MAD{}, IQR{}, LR{}}
-	want := []string{"thr", "mad", "iqr", "lr"}
-	for i, d := range dets {
-		if d.Name() != want[i] {
-			t.Errorf("detector %d name %q, want %q", i, d.Name(), want[i])
-		}
+	p.RecordHour(c, 1, util)
+	if p.Overloaded(hosts[0]) || !p.Overloaded(hosts[1]) {
+		t.Fatal("only the last recorded hour counts")
 	}
 }
 
@@ -123,48 +67,9 @@ func TestMMTOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	order := MMT{}.Order(h, 0)
+	order := mmt(h)
 	if order[0].MemGB != 2 || order[1].MemGB != 4 || order[2].MemGB != 8 {
 		t.Fatalf("MMT order wrong: %d %d %d", order[0].MemGB, order[1].MemGB, order[2].MemGB)
-	}
-}
-
-func TestRSDeterministic(t *testing.T) {
-	c, vms := testClusterWith([]int{1, 1, 1, 1, 1})
-	h := c.Hosts()[0]
-	for _, v := range vms {
-		_ = c.Place(v, h)
-	}
-	a := RS{Seed: 42}.Order(h, 5)
-	b := RS{Seed: 42}.Order(h, 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("RS must be deterministic for the same (seed, host, hour)")
-		}
-	}
-	if len(a) != 5 {
-		t.Fatalf("lost VMs: %d", len(a))
-	}
-}
-
-func TestMCPrefersCorrelatedVM(t *testing.T) {
-	c := cluster.New()
-	h := cluster.NewHost(0, "h", 32, 8, 0)
-	c.AddHost(h)
-	// Two VMs with identical business-hours activity and one backup VM
-	// active at night: the business VMs correlate with the host total.
-	day1 := cluster.NewVM(0, "day1", cluster.KindLLMI, 4, 2, trace.RealTrace(1))
-	day2 := cluster.NewVM(1, "day2", cluster.KindLLMI, 4, 2, trace.RealTrace(1))
-	night := cluster.NewVM(2, "night", cluster.KindLLMI, 4, 2, trace.DailyBackup(0.5))
-	for _, v := range []*cluster.VM{day1, day2, night} {
-		c.AddVM(v)
-		if err := c.Place(v, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	order := MC{Window: 72}.Order(h, 96)
-	if order[0].ID == 2 {
-		t.Fatal("MC should evict a correlated business VM before the anti-correlated backup VM")
 	}
 }
 
@@ -176,7 +81,7 @@ func TestPABFDPacksBestFit(t *testing.T) {
 	_ = c.Place(vms[2], h1) // h1 now busier at the backup hour
 	v := cluster.NewVM(9, "new", cluster.KindLLMI, 2, 2, trace.DailyBackup(0.5))
 	c.AddVM(v)
-	dst, err := New(Options{}).PlaceNew(c, v, 2 /* the backup hour: hosts show activity */)
+	dst, err := New().PlaceNew(c, v, 2 /* the backup hour: hosts show activity */)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +101,7 @@ func TestPABFDRespectsThresholdThenRelaxes(t *testing.T) {
 	c.AddVM(v)
 	// Only host is over threshold with both VMs, but placement must
 	// still succeed via the relaxed pass.
-	dst, err := New(Options{}).PlaceNew(c, v, 12)
+	dst, err := New().PlaceNew(c, v, 12)
 	if err != nil || dst != h {
 		t.Fatalf("relaxed placement failed: %v %v", dst, err)
 	}
@@ -207,13 +112,13 @@ func TestPABFDNoCapacity(t *testing.T) {
 	c.AddHost(cluster.NewHost(0, "h", 2, 2, 0))
 	v := cluster.NewVM(0, "big", cluster.KindLLMI, 8, 2, trace.DailyBackup(0.5))
 	c.AddVM(v)
-	if _, err := New(Options{OverloadThr: 0.8}).PlaceNew(c, v, 0); err == nil {
+	if _, err := New().PlaceNew(c, v, 0); err == nil {
 		t.Fatal("expected no-capacity error")
 	}
 }
 
 func TestRebalanceRelievesOverload(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	c := cluster.New()
 	h0 := cluster.NewHost(0, "p2", 32, 4, 0)
 	h1 := cluster.NewHost(1, "p3", 32, 4, 0)
@@ -231,8 +136,8 @@ func TestRebalanceRelievesOverload(t *testing.T) {
 	for hr := simtime.Hour(0); hr < 3; hr++ {
 		p.RecordHour(c, hr, utilAt(c, hr))
 	}
-	if !(THR{DefaultOverloadThreshold}).Overloaded(p.History(h0.ID)) {
-		t.Fatalf("test premise: host should look overloaded, history %v", p.History(h0.ID))
+	if !p.Overloaded(h0) {
+		t.Fatalf("test premise: host should look overloaded, last hour %v", h0.Utilization(2))
 	}
 	p.Rebalance(c, 3)
 	if h0.Utilization(3) > h1.Utilization(3)+1.0 {
@@ -247,7 +152,7 @@ func TestRebalanceRelievesOverload(t *testing.T) {
 }
 
 func TestRebalanceEvacuatesUnderloadedHost(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	c := cluster.New()
 	h0 := cluster.NewHost(0, "a", 32, 8, 0)
 	h1 := cluster.NewHost(1, "b", 32, 8, 0)
@@ -277,91 +182,46 @@ func TestRebalanceEvacuatesUnderloadedHost(t *testing.T) {
 	}
 }
 
-func TestHistoryBounded(t *testing.T) {
-	p := New(Options{})
-	c, vms := testClusterWith([]int{4})
-	_ = c.Place(vms[0], c.Hosts()[0])
-	for hr := simtime.Hour(0); hr < simtime.Hour(HistoryLen+100); hr++ {
-		p.RecordHour(c, hr, utilAt(c, hr))
-	}
-	if got := len(p.History(0)); got != HistoryLen {
-		t.Fatalf("history length = %d, want %d", got, HistoryLen)
-	}
-}
-
-// TestHistorySlidingWindow checks every host's history against a naive
-// trailing window of all recorded utilizations over three windows'
-// worth of hours — through several relocations of the sliding window —
-// and checks that a policy restored from a mid-run checkpoint keeps
-// matching it.
-func TestHistorySlidingWindow(t *testing.T) {
+// TestEvacuationStopsAtStrandedVM: an underloaded host's VMs move
+// biggest first, and the first with no destination ends its
+// evacuation, so a smaller VM that would fit elsewhere stays put.
+func TestEvacuationStopsAtStrandedVM(t *testing.T) {
 	c := cluster.New()
-	for i := 0; i < 3; i++ {
-		c.AddHost(cluster.NewHost(i, "h", 16, 8, 0))
-	}
-	for i := 0; i < 2; i++ { // host 2 stays empty: a constant-zero history
-		v := cluster.NewVM(i, "v", cluster.KindLLMU, 4, 2, trace.LLMU(uint64(7+i)))
+	h0 := cluster.NewHost(0, "a", 16, 8, 0)
+	h1 := cluster.NewHost(1, "b", 8, 8, 0)
+	c.AddHost(h0)
+	c.AddHost(h1)
+	big := cluster.NewVM(0, "big", cluster.KindLLMI, 12, 2, trace.DailyBackup(0.3))
+	small := cluster.NewVM(1, "small", cluster.KindLLMI, 2, 2, trace.DailyBackup(0.3))
+	other := cluster.NewVM(2, "other", cluster.KindLLMI, 4, 2, trace.DailyBackup(0.3))
+	for _, v := range []*cluster.VM{big, small, other} {
 		c.AddVM(v)
-		if err := c.Place(v, c.Hosts()[i]); err != nil {
-			t.Fatal(err)
-		}
 	}
-	all := map[int][]float64{}
-	check := func(label string, p *Policy, hr simtime.Hour) {
-		t.Helper()
-		for _, h := range c.Hosts() {
-			want := all[h.ID]
-			if len(want) > HistoryLen {
-				want = want[len(want)-HistoryLen:]
-			}
-			if got := p.History(h.ID); !slices.Equal(got, want) {
-				t.Fatalf("%s: hour %d host %d: history is not the trailing window", label, hr, h.ID)
-			}
-		}
+	_ = c.Place(big, h0)
+	_ = c.Place(small, h0)
+	_ = c.Place(other, h1)
+	New().Rebalance(c, 12)
+	if !c.Hosts()[1].CanHost(small) {
+		t.Fatal("test premise: the small VM fits on the other host")
 	}
-	p := New(Options{})
-	var restored *Policy
-	for hr := simtime.Hour(0); hr < 3*HistoryLen; hr++ {
-		for _, h := range c.Hosts() {
-			all[h.ID] = append(all[h.ID], h.Utilization(hr))
-		}
-		p.RecordHour(c, hr, utilAt(c, hr))
-		check("live", p, hr)
-		if restored != nil {
-			restored.RecordHour(c, hr, utilAt(c, hr))
-			check("restored", restored, hr)
-		}
-		if hr == HistoryLen+HistoryLen/2 {
-			data, err := p.CheckpointState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			restored = New(Options{})
-			if err := restored.RestoreState(data); err != nil {
-				t.Fatal(err)
-			}
-			check("restored", restored, hr)
-		}
-	}
-	a, _ := p.CheckpointState()
-	b, _ := restored.CheckpointState()
-	if !bytes.Equal(a, b) {
-		t.Fatal("restored policy checkpoints differently from the live one")
+	if small.Host() != h0 || c.Migrations() != 0 {
+		t.Fatalf("small VM on %s after %d migrations; the stranded big VM should end the evacuation",
+			small.Host().Name, c.Migrations())
 	}
 }
 
-// TestRecordHourSteadyStateAllocs: once a host's backing array exists,
-// recording hours allocates nothing, however often the window wraps.
+// TestRecordHourSteadyStateAllocs: once the table exists, recording
+// hours allocates nothing.
 func TestRecordHourSteadyStateAllocs(t *testing.T) {
 	c := cluster.New()
 	for i := 0; i < 3; i++ { // empty hosts: Utilization reads no trace
 		c.AddHost(cluster.NewHost(i, "h", 16, 8, 0))
 	}
-	p := New(Options{})
+	p := New()
 	hr := simtime.Hour(0)
 	util := utilAt(c, hr) // all zero, every hour
 	p.RecordHour(c, hr, util)
-	const hours = 4 * HistoryLen
+	const hours = 4 * 7 * 24
 	allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < hours; i++ {
 			hr++
@@ -374,7 +234,7 @@ func TestRecordHourSteadyStateAllocs(t *testing.T) {
 }
 
 func TestPlaceNewUsesPABFD(t *testing.T) {
-	p := New(Options{})
+	p := New()
 	c, vms := testClusterWith([]int{4})
 	_ = c.Place(vms[0], c.Hosts()[2])
 	v := cluster.NewVM(9, "new", cluster.KindLLMI, 4, 2, trace.DailyBackup(0.5))
@@ -385,53 +245,5 @@ func TestPlaceNewUsesPABFD(t *testing.T) {
 	}
 	if dst != c.Hosts()[2] {
 		t.Fatalf("PlaceNew chose %s; best-fit should pack onto the occupied host", dst.Name)
-	}
-}
-
-func TestCorrelation(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if got := correlation(a, a); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("self correlation = %v", got)
-	}
-	b := []float64{4, 3, 2, 1}
-	if got := correlation(a, b); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("anti correlation = %v", got)
-	}
-	flat := []float64{1, 1, 1, 1}
-	if got := correlation(a, flat); got != 0 {
-		t.Fatalf("degenerate correlation = %v", got)
-	}
-	if correlation(nil, nil) != 0 {
-		t.Fatal("empty correlation should be 0")
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	p := New(Options{})
-	o := p.Options()
-	if o.Overload == nil || o.Selector == nil ||
-		o.Underload != DefaultUnderloadThreshold || o.OverloadThr != DefaultOverloadThreshold {
-		t.Fatalf("defaults missing: %+v", o)
-	}
-	if p.Name() != "neat" {
-		t.Fatal("name wrong")
-	}
-}
-
-func TestMedianAndQuantile(t *testing.T) {
-	if median([]float64{3, 1, 2}) != 2 {
-		t.Fatal("odd median")
-	}
-	if median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Fatal("even median")
-	}
-	if median(nil) != 0 {
-		t.Fatal("empty median")
-	}
-	if quantileSorted([]float64{1, 2, 3, 4}, 0) != 1 || quantileSorted([]float64{1, 2, 3, 4}, 1) != 4 {
-		t.Fatal("quantile endpoints")
-	}
-	if quantileSorted(nil, 0.5) != 0 {
-		t.Fatal("empty quantile")
 	}
 }

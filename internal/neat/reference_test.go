@@ -14,7 +14,7 @@ import (
 // livePABFD is PABFD reading Host.Utilization live on every host it
 // considers, with the relaxed pass: the reference for PlaceNew and the
 // round's overload relief.
-func livePABFD(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, overloadThr float64) (*cluster.Host, error) {
+func livePABFD(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour) (*cluster.Host, error) {
 	var best *cluster.Host
 	bestUtil := -1.0
 	demand := v.Activity(hr) * float64(v.VCPUs)
@@ -24,7 +24,7 @@ func livePABFD(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, overloadThr f
 		}
 		util := h.Utilization(hr)
 		after := util + demand/float64(h.VCPUs)
-		if after > overloadThr {
+		if after > OverloadThreshold {
 			continue
 		}
 		if util > bestUtil {
@@ -51,7 +51,7 @@ func livePABFD(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, overloadThr f
 // livePlaceAvoiding is PABFD's strict pass restricted to destinations
 // other than avoid, reading Host.Utilization live: the reference for
 // the round's evacuation.
-func livePlaceAvoiding(p *Policy, c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, avoid *cluster.Host) (*cluster.Host, error) {
+func livePlaceAvoiding(c *cluster.Cluster, v *cluster.VM, hr simtime.Hour, avoid *cluster.Host) (*cluster.Host, error) {
 	var best *cluster.Host
 	bestUtil := -1.0
 	demand := v.Activity(hr) * float64(v.VCPUs)
@@ -60,7 +60,7 @@ func livePlaceAvoiding(p *Policy, c *cluster.Cluster, v *cluster.VM, hr simtime.
 			continue
 		}
 		util := h.Utilization(hr)
-		if util+demand/float64(h.VCPUs) > p.opts.OverloadThr {
+		if util+demand/float64(h.VCPUs) > OverloadThreshold {
 			continue
 		}
 		if util > bestUtil {
@@ -79,14 +79,14 @@ func livePlaceAvoiding(p *Policy, c *cluster.Cluster, v *cluster.VM, hr simtime.
 // the table-driven Rebalance must reproduce exactly.
 func liveRebalance(p *Policy, c *cluster.Cluster, hr simtime.Hour) {
 	for _, h := range c.Hosts() {
-		if !p.opts.Overload.Overloaded(p.History(h.ID)) {
+		if !p.Overloaded(h) {
 			continue
 		}
-		for _, v := range p.opts.Selector.Order(h, hr) {
-			if h.Utilization(hr) <= p.opts.OverloadThr {
+		for _, v := range mmt(h) {
+			if h.Utilization(hr) <= OverloadThreshold {
 				break
 			}
-			dst, err := livePABFD(c, v, hr, p.opts.OverloadThr)
+			dst, err := livePABFD(c, v, hr)
 			if err != nil {
 				break
 			}
@@ -101,11 +101,11 @@ func liveRebalance(p *Policy, c *cluster.Cluster, hr simtime.Hour) {
 		if h.NumVMs() == 0 {
 			continue
 		}
-		if h.Utilization(hr) >= p.opts.Underload {
+		if h.Utilization(hr) >= UnderloadThreshold {
 			continue
 		}
 		for _, v := range cluster.SortVMsByMemDesc(h.VMs()) {
-			dst, err := livePlaceAvoiding(p, c, v, hr, h)
+			dst, err := livePlaceAvoiding(c, v, hr, h)
 			if err != nil {
 				break
 			}
@@ -156,56 +156,47 @@ func neatVM(i int) *cluster.VM {
 
 // TestRebalanceMatchesLiveReference runs the table-driven round and
 // the live reference side by side on twin fleets for a week of hourly
-// rounds, under every detector and every selector, with an arrival
-// placed every twelve hours, and requires identical placements and
-// migration counts after every round. The smaller fleet runs hot
-// enough that evacuations find no destination under the threshold.
+// rounds, with an arrival placed every twelve hours, and requires
+// identical placements and migration counts after every round.
 func TestRebalanceMatchesLiveReference(t *testing.T) {
-	detectors := []OverloadDetector{THR{DefaultOverloadThreshold}, MAD{Safety: 2.5}, IQR{Safety: 1.5}, LR{Safety: 1.2}}
-	selectors := []VMSelector{MMT{}, RS{Seed: 7}, MC{}}
-	for _, det := range detectors {
-		for _, sel := range selectors {
-			for _, hosts := range []int{12, 24} {
-				t.Run(fmt.Sprintf("%s/%s/hosts-%d", det.Name(), sel.Name(), hosts), func(t *testing.T) {
-					a, b := neatFleet(hosts), neatFleet(hosts)
-					opts := Options{Overload: det, Selector: sel}
-					p, ref := New(opts), New(opts)
-					next := 4 * hosts
-					for hr := simtime.Hour(0); hr < 7*24; hr++ {
-						if hr%12 == 0 {
-							va, vb := neatVM(next), neatVM(next)
-							next++
-							a.AddVM(va)
-							b.AddVM(vb)
-							ha, errA := p.PlaceNew(a, va, hr)
-							hb, errB := livePABFD(b, vb, hr, ref.opts.OverloadThr)
-							if (errA == nil) != (errB == nil) || (errA == nil && ha.ID != hb.ID) {
-								t.Fatalf("hour %d: PlaceNew chose %v (%v), live reference %v (%v)", hr, ha, errA, hb, errB)
-							}
-							if errA == nil {
-								_ = a.Place(va, ha)
-								_ = b.Place(vb, hb)
-							}
-						}
-						p.Rebalance(a, hr)
-						liveRebalance(ref, b, hr)
-						if got, want := a.Assignments(), b.Assignments(); !slices.Equal(got, want) {
-							t.Fatalf("hour %d: placements diverge from the live reference", hr)
-						}
-						if a.Migrations() != b.Migrations() {
-							t.Fatalf("hour %d: migrations %d vs %d", hr, a.Migrations(), b.Migrations())
-						}
-						p.RecordHour(a, hr, utilAt(a, hr))
-						ref.RecordHour(b, hr, utilAt(b, hr))
+	for _, hosts := range []int{12, 24} {
+		t.Run(fmt.Sprintf("thr/mmt/hosts-%d", hosts), func(t *testing.T) {
+			a, b := neatFleet(hosts), neatFleet(hosts)
+			p, ref := New(), New()
+			next := 4 * hosts
+			for hr := simtime.Hour(0); hr < 7*24; hr++ {
+				if hr%12 == 0 {
+					va, vb := neatVM(next), neatVM(next)
+					next++
+					a.AddVM(va)
+					b.AddVM(vb)
+					ha, errA := p.PlaceNew(a, va, hr)
+					hb, errB := livePABFD(b, vb, hr)
+					if (errA == nil) != (errB == nil) || (errA == nil && ha.ID != hb.ID) {
+						t.Fatalf("hour %d: PlaceNew chose %v (%v), live reference %v (%v)", hr, ha, errA, hb, errB)
 					}
-					if err := a.CheckInvariants(); err != nil {
-						t.Fatal(err)
+					if errA == nil {
+						_ = a.Place(va, ha)
+						_ = b.Place(vb, hb)
 					}
-					if a.Migrations() < hosts {
-						t.Fatalf("only %d migrations: the week did not exercise the round", a.Migrations())
-					}
-				})
+				}
+				p.Rebalance(a, hr)
+				liveRebalance(ref, b, hr)
+				if got, want := a.Assignments(), b.Assignments(); !slices.Equal(got, want) {
+					t.Fatalf("hour %d: placements diverge from the live reference", hr)
+				}
+				if a.Migrations() != b.Migrations() {
+					t.Fatalf("hour %d: migrations %d vs %d", hr, a.Migrations(), b.Migrations())
+				}
+				p.RecordHour(a, hr, utilAt(a, hr))
+				ref.RecordHour(b, hr, utilAt(b, hr))
 			}
-		}
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if a.Migrations() < hosts {
+				t.Fatalf("only %d migrations: the week did not exercise the round", a.Migrations())
+			}
+		})
 	}
 }

@@ -113,7 +113,7 @@ func DefaultPolicies() []PolicyConfig {
 var policies = map[string]func() cluster.Policy{
 	"drowsy":      func() cluster.Policy { return drowsy.New(drowsy.Options{}) },
 	"drowsy-full": func() cluster.Policy { return drowsy.New(drowsy.Options{FullRelocation: true}) },
-	"neat":        func() cluster.Policy { return neat.New(neat.Options{}) },
+	"neat":        func() cluster.Policy { return neat.New() },
 	"oasis":       func() cluster.Policy { return oasis.New(oasis.Options{}) },
 }
 
