@@ -105,7 +105,10 @@ type HostState struct {
 	Transits    int64
 	Resumes     int64
 
-	// Suspend monitor (suspend.MonitorState).
+	// Suspend monitor (suspend.MonitorState). The simulation runtime
+	// never vetoes a check, so a captured VetoGrace and VetoBusy read
+	// 0: it checks at the grace bound, and no VM process is running
+	// at a check (scenario's TestSuspendChecksNeverVeto).
 	GraceUntil   int64
 	MonSuspended bool
 	Decisions    uint64

@@ -10,9 +10,8 @@ import (
 )
 
 // codecMagic and the codec versions guard the binary format of a
-// serialized idleness model. The format is used by the fault-tolerant
-// waking-module mirroring (§V: "each waking module monitors and mirrors
-// another one") and by experiment checkpointing.
+// serialized idleness model. Run checkpoints (internal/checkpoint) carry
+// each VM's model in it.
 //
 // Version 1 is the dense layout: all 12 SI_y month tables written
 // unconditionally (unallocated months as zeros) — 79 KB per model

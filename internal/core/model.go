@@ -381,8 +381,8 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// Clone returns a deep copy of the model, used by the fault-tolerant
-// waking-module mirroring and by experiments that branch scenarios.
+// Clone returns a deep copy of the model: the year-scale month rows are
+// copied, not shared.
 func (m *Model) Clone() *Model {
 	cp := *m
 	for mo, row := range m.SIy {

@@ -74,7 +74,7 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 		st.Hosts = append(st.Hosts, hs)
 	}
 	for _, sh := range r.shards {
-		scheduled, packet, _ := sh.wm.Stats()
+		scheduled, packet := sh.wm.Stats()
 		st.Shards = append(st.Shards, checkpoint.ShardState{
 			Latency:        sh.latency.Export(),
 			WakeLatency:    sh.wakeLatency.Export(),

@@ -276,14 +276,14 @@ type vmRT struct {
 // shard is one partition of the fleet: a fixed span of consecutive
 // hosts (and whichever VMs currently reside on them) advancing one hour
 // independently of the other shards. Each shard owns a full vertical
-// slice of the event-driven machinery — engine, waking-module pair,
-// latency collectors, scratch buffers — so the parallel host and
-// observation phases of an hour share no mutable state across shards
-// (the primaries' switches share one VM→MAC table, whose entries are
-// each written by the shard hosting the VM only); the serial reduction
-// at the hour boundary walks shards in index order for a deterministic
-// merge. The partition is bit-identity-safe because
-// every interaction the runtime generates is shard-local: packet and
+// slice of the event-driven machinery — engine, waking module, latency
+// collectors, scratch buffers — so the parallel host and observation
+// phases of an hour share no mutable state across shards (the modules'
+// switches share one VM→MAC table, whose entries are each written by
+// the shard hosting the VM only); the serial reduction at the hour
+// boundary walks shards in index order for a deterministic merge. The
+// partition is bit-identity-safe because every interaction the runtime
+// generates is shard-local: packet and
 // scheduled wakes are self-wakes of the suspended host (the switch's
 // VM→MAC mappings always reflect current residency — management wakes
 // on migration clear stale entries), same-instant engine events of
@@ -293,7 +293,6 @@ type shard struct {
 	idx    int
 	engine *sim.Engine
 	wm     *waking.Module
-	mirror *waking.Module
 	hosts  []*hostRT // in global Cluster.Hosts() order
 
 	latency     *metrics.LatencyStats
@@ -507,15 +506,14 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		lead = 1
 	}
 	// Partition the hosts into fixed spans. The span — and with it every
-	// shard's host set, engine, and waking-module pair — depends only on
-	// the fleet size and ShardHostSpan, never on ShardWorkers.
+	// shard's host set, engine, and waking module — depends only on the
+	// fleet size and ShardHostSpan, never on ShardWorkers.
 	numShards := (len(c.Hosts()) + cfg.ShardHostSpan - 1) / cfg.ShardHostSpan
 	if numShards == 0 {
 		numShards = 1
 	}
-	// The primaries' switches share one VM→MAC table, sized so no write
+	// The shards' switches share one VM→MAC table, sized so no write
 	// grows it: each VM's entry is written by the shard hosting it only.
-	// A mirror's switch maps hosts only on takeover, into its own table.
 	vmTable := netsim.NewTable(len(r.allVMs))
 	for s := 0; s < numShards; s++ {
 		sh := &shard{
@@ -528,12 +526,9 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 			sh.engine.RunUntil(start)
 		}
 		sh.wm = waking.New(fmt.Sprintf("rack%d", s), sh.engine, lead, r.onWoL, vmTable)
-		sh.mirror = waking.New(fmt.Sprintf("rack%d-mirror", s), sh.engine, lead, r.onWoL, netsim.NewTable(0))
 		if r.net != nil {
 			sh.wm.SetDelivery(r.net, r.onLossyWoL)
-			sh.mirror.SetDelivery(r.net, r.onLossyWoL)
 		}
-		waking.Pair(sh.wm, sh.mirror)
 		r.shards = append(r.shards, sh)
 	}
 	r.util = make([]float64, len(c.Hosts()))
@@ -552,9 +547,8 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 			machine: power.NewMachine(profile, float64(start)),
 			os:      os,
 			monitor: suspend.NewMonitor(suspend.Config{
-				UseGrace:         cfg.UseGrace,
-				DecisionOverhead: 1 * simtime.Second,
-				MaxGrace:         simtime.Duration(math.Round(cfg.MaxGraceSeconds)),
+				UseGrace: cfg.UseGrace,
+				MaxGrace: simtime.Duration(math.Round(cfg.MaxGraceSeconds)),
 			}, os),
 			sh: sh,
 		}
@@ -569,10 +563,6 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	}
 	return r
 }
-
-// WakingModule exposes the first shard's primary waking module (for
-// fault-injection experiments, whose fleets fit one shard).
-func (r *Runner) WakingModule() *waking.Module { return r.shards[0].wm }
 
 // onWoL handles a Wake-on-LAN delivery: the suspended host resumes.
 // WoLs are generated by the host's own shard (packet and scheduled
@@ -802,14 +792,9 @@ func (r *Runner) Run() *Result {
 			r.phaseNanos[2] = int64(time.Since(tPhase))
 			tPhase = time.Now()
 		}
-		// Serial reduction: the hourly recorders and heartbeats run in
-		// deterministic order.
+		// Serial reduction: the policy's hourly recorder.
 		if rec, ok := r.policy.(cluster.HourRecorder); ok {
 			rec.RecordHour(c, hr, r.util)
-		}
-		for _, sh := range r.shards {
-			sh.wm.Heartbeat()
-			sh.mirror.Heartbeat()
 		}
 		if timed {
 			r.phaseNanos[3] = int64(time.Since(tPhase))
@@ -1088,7 +1073,7 @@ func (r *Runner) maybeSuspendUntil(rt *hostRT, from, limit simtime.Time) {
 	if !d.Suspend {
 		return
 	}
-	suspendAt := checkAt.Add(rt.monitor.DecisionOverhead())
+	suspendAt := checkAt.Add(suspend.DecisionOverhead)
 	done := float64(suspendAt) + rt.profile.SuspendLatency
 	if done >= float64(limit) {
 		return // transition would spill past the next activity
@@ -1216,9 +1201,7 @@ func (r *Runner) playHourEvents(rt *hostRT, hr simtime.Hour, t0 simtime.Time, vm
 		}
 		if from < e {
 			rt.machine.SetUtilization(float64(from), eventUtil)
-			r.setEventProcs(rt, vms, acts, ossim.StateRunning)
 			rt.machine.SetUtilization(float64(e), 0)
-			r.setEventProcs(rt, vms, acts, ossim.StateSleeping)
 		}
 		limit := hourEnd
 		if k+1 < len(awake) {
@@ -1255,19 +1238,6 @@ func (r *Runner) fireDueScheduledWake(rt *hostRT, limit simtime.Time) {
 	sh.eventNow = due
 	sh.wm.FireScheduled(mac)
 	sh.eventNow = prev
-}
-
-// setEventProcs flips the floor-active VMs' processes between running
-// (inside a burst) and sleeping (in a gap), so the suspending module's
-// OS idleness check holds exactly in the gaps. Sub-floor VMs stay
-// sleeping throughout: their noise must not veto suspension, mirroring
-// the idle-hour semantics.
-func (r *Runner) setEventProcs(rt *hostRT, vms []*cluster.VM, acts []float64, st ossim.ProcState) {
-	for i, v := range vms {
-		if acts[i] >= core.DefaultNoiseFloor {
-			rt.os.SetState(r.vms[v.Slot()].pid, st)
-		}
-	}
 }
 
 // firstBurstIdx returns the index of the lowest-ID request-driven
@@ -1421,7 +1391,7 @@ func (r *Runner) collect() *Result {
 	for _, sh := range r.shards {
 		latency.Merge(sh.latency)
 		wakeLatency.Merge(sh.wakeLatency)
-		scheduled, packet, _ := sh.wm.Stats()
+		scheduled, packet := sh.wm.Stats()
 		res.ScheduledWakes += scheduled
 		res.PacketWakes += packet
 		res.EventHours += sh.eventHours

@@ -343,14 +343,6 @@ func TestStartHourOffset(t *testing.T) {
 	}
 }
 
-func TestWakingModuleAccessor(t *testing.T) {
-	c := testbed()
-	r := NewRunner(Config{Hours: 1, EnableSuspend: true}, c, neat.New())
-	if r.WakingModule() == nil {
-		t.Fatal("nil waking module")
-	}
-}
-
 func TestMidRunArrival(t *testing.T) {
 	// A VM created on day 2 is placed through the policy's PlaceNew
 	// path and participates in the rest of the run.

@@ -158,7 +158,7 @@ func (r *Runner) probeHour(i int, hr simtime.Hour) {
 				off++
 			}
 		}
-		scheduled, packet, _ := sh.wm.Stats()
+		scheduled, packet := sh.wm.Stats()
 		cur.scheduled += scheduled
 		cur.packet += packet
 		cur.wake.Merge(sh.wake)

@@ -105,10 +105,6 @@ type Switch struct {
 	vms   *Table
 	hosts MACTable[suspended]
 	wol   func(MAC)
-
-	packets uint64
-	wolSent uint64
-	misses  uint64 // packets for VMs on awake hosts (forwarded directly)
 }
 
 // suspended is one host's entry: its VM list while mapped.
@@ -194,18 +190,10 @@ func (s *Switch) SuspendedHosts() []MAC {
 // held by the fabric until the host resumes — latency accounting is the
 // workload model's concern). It reports whether a wake was triggered.
 func (s *Switch) Route(p Packet) bool {
-	s.packets++
 	mac, ok := s.Lookup(p.Dst)
 	if !ok {
-		s.misses++
 		return false
 	}
-	s.wolSent++
 	s.wol(mac)
 	return true
-}
-
-// Stats returns (packets seen, WoL sent, direct forwards).
-func (s *Switch) Stats() (packets, wol, direct uint64) {
-	return s.packets, s.wolSent, s.misses
 }

@@ -66,12 +66,6 @@ type Process struct {
 	PID   int
 	Name  string
 	State ProcState
-	// OpenSessions counts open long-lived connections (SSH, TCP). The
-	// paper notes these are invisible false positives without
-	// introspection; Drowsy-DC deliberately ignores them and relies on
-	// quick resume, but the count is modelled so experiments can
-	// quantify that choice.
-	OpenSessions int
 }
 
 // hrTimer is one entry in the kernel's high-resolution timer queue.

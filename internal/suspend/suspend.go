@@ -22,7 +22,6 @@
 package suspend
 
 import (
-	"fmt"
 	"math"
 
 	"drowsydc/internal/ossim"
@@ -34,6 +33,11 @@ const (
 	MinGrace = 5 * simtime.Second
 	MaxGrace = 2 * simtime.Minute
 )
+
+// DecisionOverhead is the time the module takes to detect idleness and
+// initiate suspension (process-table walk plus timer scan); the host
+// stays awake for this long after becoming idle.
+const DecisionOverhead = 1 * simtime.Second
 
 // GraceTime maps a host's normalized idleness probability p ∈ [0, 1] to
 // the anti-oscillation grace duration: MinGrace when the host is surely
@@ -79,27 +83,16 @@ type Config struct {
 	// Neat+S3 baseline runs "the exact same algorithm, the grace time
 	// excepted, because it requires computing idleness models".
 	UseGrace bool
-	// DecisionOverhead is the time the module takes to detect idleness
-	// and initiate suspension (process-table walk plus timer scan); the
-	// host stays awake for this long after becoming idle.
-	DecisionOverhead simtime.Duration
 	// MaxGrace overrides the grace-time upper bound (0 = the paper's
 	// MaxGrace). Parameter sweeps vary it to regenerate the grace-time
 	// sensitivity curve.
 	MaxGrace simtime.Duration
 }
 
-// DefaultConfig returns the Drowsy-DC configuration.
-func DefaultConfig() Config {
-	return Config{UseGrace: true, DecisionOverhead: 1 * simtime.Second}
-}
-
 // Decision is the outcome of a suspension check.
 type Decision struct {
 	// Suspend reports whether the host should be suspended now.
 	Suspend bool
-	// Reason explains a negative decision, for diagnostics.
-	Reason string
 	// WakeAt is the scheduled waking date (valid when HasWake).
 	WakeAt simtime.Time
 	// HasWake is false when no non-blacklisted timer exists: the host
@@ -122,9 +115,6 @@ type Monitor struct {
 func NewMonitor(cfg Config, os *ossim.OS) *Monitor {
 	if os == nil {
 		panic("suspend: nil OS")
-	}
-	if cfg.DecisionOverhead < 0 {
-		panic("suspend: negative decision overhead")
 	}
 	if cfg.MaxGrace < 0 {
 		panic("suspend: negative max grace")
@@ -162,23 +152,20 @@ func (m *Monitor) GraceUntil() simtime.Time { return m.graceUntil }
 func (m *Monitor) Check(now simtime.Time) Decision {
 	m.decisions++
 	if m.suspended {
-		return Decision{Reason: "already suspended"}
+		return Decision{}
 	}
 	if now < m.graceUntil {
 		m.vetoGrace++
-		return Decision{Reason: fmt.Sprintf("grace until t=%d", m.graceUntil)}
+		return Decision{}
 	}
 	if !m.os.Idle() {
 		m.vetoBusy++
-		return Decision{Reason: "host busy"}
+		return Decision{}
 	}
 	d := Decision{Suspend: true}
 	d.WakeAt, d.HasWake = m.os.NextWake()
 	return d
 }
-
-// DecisionOverhead returns the configured detection latency.
-func (m *Monitor) DecisionOverhead() simtime.Duration { return m.cfg.DecisionOverhead }
 
 // Stats returns (decisions evaluated, vetoes by grace, vetoes by busy).
 func (m *Monitor) Stats() (decisions, graceVetoes, busyVetoes uint64) {

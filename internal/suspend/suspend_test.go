@@ -118,7 +118,7 @@ func newIdleOS() *ossim.OS {
 
 func TestCheckSuspendsIdleHost(t *testing.T) {
 	os := newIdleOS()
-	m := NewMonitor(DefaultConfig(), os)
+	m := NewMonitor(Config{UseGrace: true}, os)
 	m.OnResume(0, 1.0) // grace = MinGrace = 5s
 	if d := m.Check(3); d.Suspend {
 		t.Fatal("grace must veto suspension at t=3")
@@ -135,7 +135,7 @@ func TestCheckSuspendsIdleHost(t *testing.T) {
 func TestCheckVetoesBusyHost(t *testing.T) {
 	os := newIdleOS()
 	pid := os.Spawn("qemu-v2", ossim.StateRunning)
-	m := NewMonitor(DefaultConfig(), os)
+	m := NewMonitor(Config{UseGrace: true}, os)
 	m.OnResume(0, 1.0)
 	if d := m.Check(100); d.Suspend {
 		t.Fatal("busy host must not suspend")
@@ -163,7 +163,7 @@ func TestWakingDateFromTimers(t *testing.T) {
 	// Blacklisted timer earlier than the backup's must be filtered.
 	mon := 1 // monitord was the first spawn
 	os.RegisterTimer(mon, 1000)
-	m := NewMonitor(DefaultConfig(), os)
+	m := NewMonitor(Config{UseGrace: true}, os)
 	m.OnResume(0, 1.0)
 	d := m.Check(10)
 	if !d.Suspend || !d.HasWake || d.WakeAt != 5000 {
@@ -172,7 +172,7 @@ func TestWakingDateFromTimers(t *testing.T) {
 }
 
 func TestAlreadySuspended(t *testing.T) {
-	m := NewMonitor(DefaultConfig(), newIdleOS())
+	m := NewMonitor(Config{UseGrace: true}, newIdleOS())
 	m.OnResume(0, 1.0)
 	m.OnSuspend()
 	if !m.Suspended() {
@@ -211,7 +211,7 @@ func TestOscillationPrevention(t *testing.T) {
 	// one. Simulate 60 check cycles 1 s apart with resume after each
 	// suspension.
 	os := newIdleOS()
-	with := NewMonitor(DefaultConfig(), os)
+	with := NewMonitor(Config{UseGrace: true}, os)
 	without := NewMonitor(Config{UseGrace: false}, os)
 	suspWith, suspWithout := 0, 0
 	with.OnResume(0, 0.2) // active-ish host: long grace
@@ -237,29 +237,12 @@ func TestOscillationPrevention(t *testing.T) {
 }
 
 func TestConstructorValidation(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil OS should panic")
-			}
-		}()
-		NewMonitor(DefaultConfig(), nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("nil OS should panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative overhead should panic")
-			}
-		}()
-		NewMonitor(Config{DecisionOverhead: -1}, newIdleOS())
-	}()
-}
-
-func TestDecisionOverheadAccessor(t *testing.T) {
-	m := NewMonitor(DefaultConfig(), newIdleOS())
-	if m.DecisionOverhead() != 1*simtime.Second {
-		t.Fatalf("overhead = %v", m.DecisionOverhead())
-	}
+	NewMonitor(Config{UseGrace: true}, nil)
 }
 
 func BenchmarkCheck(b *testing.B) {
@@ -268,7 +251,7 @@ func BenchmarkCheck(b *testing.B) {
 		p := os.Spawn("svc", ossim.StateSleeping)
 		os.RegisterTimer(p, simtime.Time(100000+i))
 	}
-	m := NewMonitor(DefaultConfig(), os)
+	m := NewMonitor(Config{UseGrace: true}, os)
 	m.OnResume(0, 1.0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

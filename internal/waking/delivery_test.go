@@ -41,7 +41,7 @@ func TestSetDeliveryRoutesWakes(t *testing.T) {
 	if len(macs) != 2 || macs[1] != 3 {
 		t.Fatalf("delivered macs after scheduled fire = %v", macs)
 	}
-	sched, pkt, _ := m.Stats()
+	sched, pkt := m.Stats()
 	if sched != 1 || pkt != 1 {
 		t.Fatalf("stats = %d %d", sched, pkt)
 	}

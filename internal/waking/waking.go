@@ -8,11 +8,9 @@
 //     the host went to sleep (§V-B), fired ahead of time by the resume
 //     latency so the host is awake when the timer expires.
 //
-// The module is the heart of the system and must not be a single point
-// of failure: modules work in pairs, each heartbeat-monitoring and
-// mirroring the other, and a survivor takes over a dead peer's mappings
-// (§V: "when a waking module is defective, it is replaced with an
-// identical version").
+// §V also runs modules in mirrored pairs, so that a survivor takes over
+// a dead peer's mappings. That pairing is not modeled: no experiment
+// fails a module, so each rack has one module.
 package waking
 
 import (
@@ -34,42 +32,22 @@ type Module struct {
 	sw    *netsim.Switch
 	wakes netsim.MACTable[hostWake]
 
-	lastBeat simtime.Time
-	failed   bool
-
 	// When a loss model is installed, every WoL the module fires is
 	// resolved through it — retries, drops, relay legs — and the outcome
 	// handed to deliver instead of the perfect wol callback.
 	loss    *netsim.LossModel
 	deliver func(netsim.MAC, netsim.WakeOutcome)
 
-	peer   *Module
-	mirror state // the peer's snapshot(), kept equal by its syncHost
-
 	scheduledWakes uint64
 	packetWakes    uint64
-	takeovers      uint64
 }
 
 // hostWake is one host's scheduled-wake state.
 type hostWake struct {
 	// timer is the queued ahead-of-time WoL, nil when none is pending.
 	timer *sim.Timer
-	// date is the registered waking date, meaningful when dated.
-	date  simtime.Time
-	dated bool
-}
-
-// state is the replicable part of a module, indexed by MAC: the
-// suspended-host mappings and their waking dates.
-type state = netsim.MACTable[mirrored]
-
-// mirrored is one host's entry in a state.
-type mirrored struct {
-	vms    []netsim.VMID // shared with the switch that mapped them
-	mapped bool
-	date   simtime.Time
-	dated  bool
+	// date is the registered waking date, meaningful while timer is set.
+	date simtime.Time
 }
 
 // New creates a waking module. wol delivers Wake-on-LAN to a host; lead
@@ -92,13 +70,6 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 	return m
 }
 
-// Pair links two modules as mutual mirrors.
-func Pair(a, b *Module) {
-	a.peer, b.peer = b, a
-	a.mirror = b.snapshot()
-	b.mirror = a.snapshot()
-}
-
 // Switch exposes the module's packet path for the workload model.
 func (m *Module) Switch() *netsim.Switch { return m.sw }
 
@@ -116,23 +87,20 @@ func (m *Module) HostSuspended(mac netsim.MAC, vms []netsim.VMID, wakeAt simtime
 		timer := m.engine.Schedule(fireAt, func(*sim.Engine) {
 			m.scheduledWakes++
 			*m.wakes.At(mac) = hostWake{}
-			m.syncHost(mac)
 			m.fireWoL(mac)
 		})
-		*m.wakes.At(mac) = hostWake{timer: timer, date: wakeAt, dated: true}
+		*m.wakes.At(mac) = hostWake{timer: timer, date: wakeAt}
 	}
-	m.syncHost(mac)
 }
 
 // HostResumed clears a host's mappings and pending schedule once it is
 // awake again.
 func (m *Module) HostResumed(mac netsim.MAC) {
 	m.sw.UnmapHost(mac)
-	if w := m.wakes.Get(mac); w != (hostWake{}) {
+	if w := m.wakes.Get(mac); w.timer != nil {
 		w.timer.Cancel()
 		*m.wakes.At(mac) = hostWake{}
 	}
-	m.syncHost(mac)
 }
 
 // ScheduledFire returns the instant at which a host's pending
@@ -166,7 +134,6 @@ func (m *Module) FireScheduled(mac netsim.MAC) bool {
 	}
 	t.Cancel()
 	*m.wakes.At(mac) = hostWake{}
-	m.syncHost(mac)
 	m.scheduledWakes++
 	m.fireWoL(mac)
 	return true
@@ -203,86 +170,9 @@ func (m *Module) fireWoL(mac netsim.MAC) {
 	m.deliver(mac, m.loss.Resolve(mac))
 }
 
-// Heartbeat records liveness at the current engine time.
-func (m *Module) Heartbeat() { m.lastBeat = m.engine.Now() }
-
-// Fail marks the module dead for fault-injection tests; a failed module
-// stops heartbeating and processing.
-func (m *Module) Fail() { m.failed = true }
-
-// Failed reports whether the module was failed.
-func (m *Module) Failed() bool { return m.failed }
-
-// CheckPeer verifies the peer's heartbeat; when it is older than timeout
-// (or the peer is marked failed), the module takes over the mirrored
-// state: every suspended-host mapping and scheduled wake of the peer is
-// re-registered locally. It reports whether a takeover happened.
-func (m *Module) CheckPeer(timeout simtime.Duration) bool {
-	if m.peer == nil || m.failed {
-		return false
-	}
-	now := m.engine.Now()
-	if !m.peer.failed && now-m.peer.lastBeat <= simtime.Time(timeout) {
-		return false
-	}
-	// Peer is dead: adopt its mirrored mappings, in ascending MAC order
-	// so takeover is replayable.
-	for mac, e := range m.mirror.All() {
-		if !e.mapped {
-			continue
-		}
-		if _, already := m.sw.HostVMs(mac); already {
-			continue
-		}
-		m.HostSuspended(mac, e.vms, e.date, e.dated)
-	}
-	// Cancel the dead peer's pending timers so hosts are not woken twice.
-	for _, w := range m.peer.wakes.All() {
-		if w.timer != nil {
-			w.timer.Cancel()
-			w.timer = nil
-		}
-	}
-	m.peer.failed = true
-	m.takeovers++
-	return true
-}
-
-// snapshot copies the replicable state. Pair seeds a mirror with it;
-// afterwards syncHost keeps the mirror equal to it one host at a time.
-func (m *Module) snapshot() state {
-	var s state
-	for _, mac := range m.sw.SuspendedHosts() {
-		e := s.At(mac)
-		e.vms, e.mapped = m.sw.HostVMs(mac)
-	}
-	for mac, w := range m.wakes.All() {
-		if w.dated {
-			e := s.At(mac)
-			e.date, e.dated = w.date, true
-		}
-	}
-	return s
-}
-
-// syncHost writes host mac's VM list (shared with the switch) and
-// waking date, or their absence, into the peer's mirror. Every call
-// that changes them ends with it, so the mirror equals the primary's
-// snapshot() after every public call. In the paper modules mirror each
-// other over the network; here the copy is synchronous and
-// incorruptible, which is the property the fault tolerance needs.
-func (m *Module) syncHost(mac netsim.MAC) {
-	if m.peer == nil || m.peer.failed {
-		return
-	}
-	vms, mapped := m.sw.HostVMs(mac)
-	w := m.wakes.Get(mac)
-	*m.peer.mirror.At(mac) = mirrored{vms: vms, mapped: mapped, date: w.date, dated: w.dated}
-}
-
-// Stats returns (scheduled wakes fired, packet wakes fired, takeovers).
-func (m *Module) Stats() (scheduled, packet, takeovers uint64) {
-	return m.scheduledWakes, m.packetWakes, m.takeovers
+// Stats returns (scheduled wakes fired, packet wakes fired).
+func (m *Module) Stats() (scheduled, packet uint64) {
+	return m.scheduledWakes, m.packetWakes
 }
 
 // String renders a diagnostic summary.
@@ -293,8 +183,8 @@ func (m *Module) String() string {
 			scheduled++
 		}
 	}
-	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d failed=%v}",
-		m.Name, len(m.sw.SuspendedHosts()), scheduled, m.failed)
+	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d}",
+		m.Name, len(m.sw.SuspendedHosts()), scheduled)
 }
 
 // PendingWakeDate returns the registered waking date of a suspended
@@ -311,9 +201,7 @@ func (m *Module) PendingWakeDate(mac netsim.MAC) (simtime.Time, bool) {
 }
 
 // RestoreCounters overwrites the module's cumulative wake counters with
-// previously captured values, for run checkpoints. Takeovers are not
-// restorable (checkpointed scenario runs never exercise peer failover);
-// they restart at zero.
+// previously captured values, for run checkpoints.
 func (m *Module) RestoreCounters(scheduledWakes, packetWakes uint64) {
 	m.scheduledWakes = scheduledWakes
 	m.packetWakes = packetWakes

@@ -1,6 +1,7 @@
 package waking
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestScheduledWakeFiresAheadOfTime(t *testing.T) {
 	if len(woken) != 1 || woken[0] != 3 {
 		t.Fatalf("woken = %v at t=99", woken)
 	}
-	sched, pkt, _ := m.Stats()
+	sched, pkt := m.Stats()
 	if sched != 1 || pkt != 0 {
 		t.Fatalf("stats = %d %d", sched, pkt)
 	}
@@ -76,79 +77,6 @@ func TestPastWakeDateFiresImmediately(t *testing.T) {
 	}
 }
 
-func TestMirrorTakeover(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("rack0", e, &woken)
-	b := newTestModule("rack1", e, &woken)
-	Pair(a, b)
-	a.Heartbeat()
-	b.Heartbeat()
-	// b registers a suspended host with a scheduled wake at t=500.
-	b.HostSuspended(8, []netsim.VMID{80, 81}, 500, true)
-	// b dies at t=100.
-	e.RunUntil(100)
-	b.Fail()
-	// a detects the dead peer (timeout 30s since last beat at t=0).
-	if !a.CheckPeer(30) {
-		t.Fatal("takeover should trigger")
-	}
-	_, _, takeovers := a.Stats()
-	if takeovers != 1 {
-		t.Fatalf("takeovers = %d", takeovers)
-	}
-	// a now owns the mapping: a packet to VM 80 wakes host 8 via a.
-	if !a.PacketArrived(netsim.Packet{Dst: 80}) {
-		t.Fatal("survivor should hold the dead peer's mappings")
-	}
-	// The scheduled wake still happens exactly once (b's timer was
-	// canceled, a's re-registered one fires at 499).
-	woken = woken[:0]
-	e.RunUntil(600)
-	if len(woken) != 1 || woken[0] != 8 {
-		t.Fatalf("scheduled wake after takeover = %v", woken)
-	}
-}
-
-func TestCheckPeerHealthy(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	b.Heartbeat()
-	e.RunUntil(10)
-	if a.CheckPeer(30) {
-		t.Fatal("healthy peer must not trigger takeover")
-	}
-	if a.CheckPeer(5) == false {
-		// beat at 0, now 10, timeout 5: dead.
-		t.Fatal("stale heartbeat should trigger takeover")
-	}
-}
-
-func TestCheckPeerNoPeer(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	if a.CheckPeer(1) {
-		t.Fatal("no peer: no takeover")
-	}
-}
-
-func TestFailedModuleDoesNotTakeover(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	a.Fail()
-	b.Fail()
-	if a.CheckPeer(0) {
-		t.Fatal("a failed module must not take over")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	e := sim.New()
 	func() {
@@ -176,9 +104,6 @@ func TestStringer(t *testing.T) {
 	if m.String() == "" {
 		t.Fatal("empty String")
 	}
-	if m.Failed() {
-		t.Fatal("fresh module should not be failed")
-	}
 	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
 	m.HostSuspended(5, []netsim.VMID{2}, 0, false)
 	if s := m.String(); !strings.Contains(s, "suspended=2 scheduled=1") {
@@ -205,7 +130,7 @@ func TestPendingWakeDateAndCounters(t *testing.T) {
 		t.Fatal("a resumed host keeps no pending date")
 	}
 	m.RestoreCounters(7, 9)
-	if s, p, _ := m.Stats(); s != 7 || p != 9 {
+	if s, p := m.Stats(); s != 7 || p != 9 {
 		t.Fatalf("Stats after RestoreCounters = %d,%d; want 7,9", s, p)
 	}
 }
@@ -222,36 +147,6 @@ func TestSwitchAccessor(t *testing.T) {
 	m.HostSuspended(4, []netsim.VMID{9}, 0, false)
 	if !m.Switch().Route(netsim.Packet{Dst: 9}) {
 		t.Fatal("switch did not route to the suspended host")
-	}
-}
-
-// TestTakeoverSkipsAlreadyAdoptedHosts covers the takeover dedup: a
-// mapping the survivor already holds (both modules were told about the
-// same suspension) must not be re-registered, or the host would get a
-// duplicate scheduled wake.
-func TestTakeoverSkipsAlreadyAdoptedHosts(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	a := newTestModule("a", e, &woken)
-	b := newTestModule("b", e, &woken)
-	Pair(a, b)
-	// Both modules track host 7; only b tracks host 8.
-	a.HostSuspended(7, []netsim.VMID{1}, 50, true)
-	b.HostSuspended(7, []netsim.VMID{1}, 50, true)
-	b.HostSuspended(8, []netsim.VMID{2}, 60, true)
-	b.Fail()
-	if !a.CheckPeer(10) {
-		t.Fatal("takeover did not happen")
-	}
-	// One wake per host despite the shared mapping: 7 fires once (a's
-	// own schedule; the adopted copy was skipped), 8 fires once.
-	e.RunUntil(100)
-	count := map[netsim.MAC]int{}
-	for _, mac := range woken {
-		count[mac]++
-	}
-	if count[7] != 1 || count[8] != 1 {
-		t.Fatalf("wake counts %v, want one each for hosts 7 and 8", count)
 	}
 }
 
@@ -280,7 +175,7 @@ func TestFireScheduledEarly(t *testing.T) {
 	if len(woken) != 1 || woken[0] != 4 {
 		t.Fatalf("woken = %v", woken)
 	}
-	sched, _, _ := m.Stats()
+	sched, _ := m.Stats()
 	if sched != 1 {
 		t.Fatalf("scheduled wakes = %d, want 1", sched)
 	}
@@ -313,5 +208,52 @@ func TestScheduledFireClampsToPresent(t *testing.T) {
 	m.HostResumed(2)
 	if m.FireScheduled(2) {
 		t.Fatal("fired after HostResumed retired the schedule")
+	}
+}
+
+// moduleWithSleepers returns a module holding sleepers suspended hosts
+// whose wakes lie far beyond any cycle's.
+func moduleWithSleepers(sleepers int) (*Module, *sim.Engine) {
+	e := sim.New()
+	m := New("a", e, 1, func(netsim.MAC) {}, netsim.NewTable(0))
+	for h := 0; h < sleepers; h++ {
+		mac := netsim.MAC(1 + h)
+		m.HostSuspended(mac, []netsim.VMID{netsim.VMID(4 * mac), netsim.VMID(4*mac + 1)}, 1<<40, true)
+	}
+	return m, e
+}
+
+// suspendResumeCycle suspends and resumes host 0 with a scheduled wake,
+// then pops the canceled timer so the engine queue stays flat.
+func suspendResumeCycle(m *Module, e *sim.Engine) {
+	m.HostSuspended(0, []netsim.VMID{0, 1}, 100, true)
+	m.HostResumed(0)
+	e.RunUntil(e.Now())
+}
+
+// TestSuspendResumeAllocsFlat guards the per-host cost of a transition:
+// one suspend+resume cycle allocates the same whatever the number of
+// other sleepers the module holds.
+func TestSuspendResumeAllocsFlat(t *testing.T) {
+	var allocs [2]float64
+	for i, sleepers := range []int{0, 63} {
+		m, e := moduleWithSleepers(sleepers)
+		allocs[i] = testing.AllocsPerRun(200, func() { suspendResumeCycle(m, e) })
+	}
+	if allocs[0] != allocs[1] {
+		t.Fatalf("allocs per cycle: %v with 0 sleepers, %v with 63; want equal", allocs[0], allocs[1])
+	}
+}
+
+func BenchmarkSuspendResumeCycle(b *testing.B) {
+	for _, sleepers := range []int{0, 63} {
+		b.Run(fmt.Sprintf("sleepers-%d", sleepers), func(b *testing.B) {
+			m, e := moduleWithSleepers(sleepers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				suspendResumeCycle(m, e)
+			}
+		})
 	}
 }
