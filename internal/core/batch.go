@@ -143,23 +143,27 @@ func ObserveFastPathCount() uint64 { return colFastPath.Load() }
 func ObserveExactCount() uint64 { return colExactFallback.Load() }
 
 // ObserveColumn applies one hourly observation to a column of models:
-// models[i] observes acts[i] under the shared calendar stamp st. It is
-// exactly equivalent to calling models[i].Observe(st, acts[i]) in
-// order — same panics, same stored bits — and exists so the simulation
-// runtime's per-shard observation batch is one pass over an activity
-// column: beyond skipping the per-VM trace lookups, the pass carries a
-// cross-model update memo (see columnMemo) that collapses the eq. 5
-// exponentials of replicated populations. Distinct columns touch
-// disjoint models, so concurrent ObserveColumn calls on disjoint
-// slices are race-free.
-func ObserveColumn(st simtime.Stamp, models []*Model, acts []float64) {
+// models[i] observes acts[i] under the shared calendar stamp st.
+// horizon is the last hour at which any IP of the models will be read:
+// a missing table whose cell no read up to it can come back to stays
+// unallocated (see observe), and KeepAll keeps every cell. With
+// KeepAll it is exactly equivalent to calling models[i].Observe(st,
+// acts[i]) in order — same panics, same stored bits; with a shorter
+// horizon every IP read up to the horizon returns those same bits. It
+// exists so the simulation runtime's per-shard observation batch is one
+// pass over an activity column: beyond skipping the per-VM trace
+// lookups, the pass carries a cross-model update memo (see columnMemo)
+// that collapses the eq. 5 exponentials of replicated populations.
+// Distinct columns touch disjoint models, so concurrent ObserveColumn
+// calls on disjoint slices are race-free.
+func ObserveColumn(st simtime.Stamp, models []*Model, acts []float64, horizon simtime.Hour) {
 	if len(models) != len(acts) {
 		panic(fmt.Sprintf("core: ObserveColumn with %d models but %d activities",
 			len(models), len(acts)))
 	}
 	var memo columnMemo
 	for i, m := range models {
-		m.observe(st, acts[i], &memo)
+		m.observe(st, acts[i], &memo, horizon)
 	}
 	colFastPath.Add(memo.fast)
 	colExactFallback.Add(memo.exact)

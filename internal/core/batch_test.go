@@ -10,17 +10,19 @@ import (
 )
 
 // modelBitsEqual compares every stored float of two models exactly,
-// including the lazily allocated year rows and the learned weights.
+// including the lazily allocated tables and the learned weights.
 func modelBitsEqual(a, b *Model) bool {
-	if a.SId != b.SId || a.SIw != b.SIw || a.SIm != b.SIm || a.W != b.W {
+	if a.SId != b.SId || a.SIw != b.SIw || a.W != b.W {
+		return false
+	}
+	same := func(ta, tb *SIMonth) bool {
+		return ta == nil && tb == nil || ta != nil && tb != nil && *ta == *tb
+	}
+	if !same(a.SIm, b.SIm) {
 		return false
 	}
 	for mo := range a.SIy {
-		ra, rb := a.SIy[mo], b.SIy[mo]
-		if (ra == nil) != (rb == nil) {
-			return false
-		}
-		if ra != nil && *ra != *rb {
+		if !same(a.SIy[mo], b.SIy[mo]) {
 			return false
 		}
 	}
@@ -135,7 +137,7 @@ func TestObserveColumnReplicatedMemo(t *testing.T) {
 		for i := range acts {
 			acts[i] = groupAct[i%groups]
 		}
-		ObserveColumn(st, batch, acts)
+		ObserveColumn(st, batch, acts, KeepAll)
 		for i, m := range loop {
 			m.Observe(st, acts[i])
 		}
@@ -183,7 +185,7 @@ func TestObserveColumnMatchesLoop(t *testing.T) {
 		for i := range acts {
 			acts[i] = randomActivity(rng)
 		}
-		ObserveColumn(st, batch, acts)
+		ObserveColumn(st, batch, acts, KeepAll)
 		for i, m := range loop {
 			m.Observe(st, acts[i])
 		}
@@ -202,10 +204,10 @@ func TestObserveColumnMatchesLoop(t *testing.T) {
 		fn()
 	}
 	mustPanic("length mismatch", func() {
-		ObserveColumn(simtime.Decompose(0), batch, acts[:n-1])
+		ObserveColumn(simtime.Decompose(0), batch, acts[:n-1], KeepAll)
 	})
 	mustPanic("bad activity", func() {
-		ObserveColumn(simtime.Decompose(0), []*Model{New()}, []float64{math.NaN()})
+		ObserveColumn(simtime.Decompose(0), []*Model{New()}, []float64{math.NaN()}, KeepAll)
 	})
 }
 
@@ -234,13 +236,13 @@ func TestObserveColumnConcurrentShards(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for h := range acts {
-				ObserveColumn(simtime.Decompose(simtime.Hour(h)), conc[lo:hi], acts[h][lo:hi])
+				ObserveColumn(simtime.Decompose(simtime.Hour(h)), conc[lo:hi], acts[h][lo:hi], KeepAll)
 			}
 		}()
 	}
 	wg.Wait()
 	for h := range acts {
-		ObserveColumn(simtime.Decompose(simtime.Hour(h)), serial, acts[h])
+		ObserveColumn(simtime.Decompose(simtime.Hour(h)), serial, acts[h], KeepAll)
 	}
 	for i := range conc {
 		if !modelBitsEqual(conc[i], serial[i]) {
@@ -257,6 +259,15 @@ func TestObserveColumnConcurrentShards(t *testing.T) {
 // approach would need ~50 simulated years per cell; see the cadence
 // note on TestObserveSaturationTableSaturated).
 func saturatedColumn(n int) ([]*Model, []float64) {
+	saturated := func() *SIMonth {
+		t := new(SIMonth)
+		for d := range t {
+			for h := range t[d] {
+				t[d][h] = 1
+			}
+		}
+		return t
+	}
 	models := make([]*Model, n)
 	for i := range models {
 		m := New()
@@ -268,19 +279,9 @@ func saturatedColumn(n int) ([]*Model, []float64) {
 				m.SIw[d][h] = 1
 			}
 		}
-		for d := range m.SIm {
-			for h := range m.SIm[d] {
-				m.SIm[d][h] = 1
-			}
-		}
+		m.SIm = saturated()
 		for mo := range m.SIy {
-			row := new(SIMonth)
-			for d := range row {
-				for h := range row[d] {
-					row[d][h] = 1
-				}
-			}
-			m.SIy[mo] = row
+			m.SIy[mo] = saturated()
 		}
 		m.activeSum = 0.5 + float64(i)*1e-6 // distinct a* per model: defeat the memo
 		m.activeCount = 1
@@ -335,7 +336,7 @@ func BenchmarkModelObserveBatch(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						st := simtime.Decompose(simtime.Hour(i % simtime.HoursPerYear))
-						ObserveColumn(st, models, acts)
+						ObserveColumn(st, models, acts, KeepAll)
 					}
 				})
 			}
@@ -353,7 +354,7 @@ func BenchmarkModelObserveBatch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					st := simtime.Decompose(simtime.Hour(i % simtime.HoursPerYear))
 					if mode.memo {
-						ObserveColumn(st, models, acts)
+						ObserveColumn(st, models, acts, KeepAll)
 					} else {
 						for j, m := range models {
 							m.Observe(st, acts[j])

@@ -18,6 +18,9 @@ import (
 // regardless of how much of the year was observed. Version 2 keeps the
 // same header/tail but encodes SI_y sparsely behind a month-presence
 // bitmap, so a model that has only seen a few months costs a few KB.
+// Both write the SI_m table in full, an unallocated one as zeros, and
+// decode an all-zero table or month row as unallocated, which reads the
+// same.
 // That sparsity is what makes month-boundary run checkpoints feasible at
 // fleet scale (65,536 VMs × 79 KB would be 5 GB per checkpoint; sparse
 // models early in a run are ~8 KB). Encoding always emits version 2;
@@ -69,20 +72,11 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 			buf = appendF(buf, v)
 		}
 	}
-	for d := range m.SIm {
-		for _, v := range m.SIm[d] {
-			buf = appendF(buf, v)
-		}
-	}
+	buf = appendMonth(buf, m.SIm)
 	buf = binary.LittleEndian.AppendUint16(buf, present)
 	for mo, row := range m.SIy {
-		if present&(1<<uint(mo)) == 0 {
-			continue
-		}
-		for d := range row {
-			for _, v := range row[d] {
-				buf = appendF(buf, v)
-			}
+		if present&(1<<uint(mo)) != 0 {
+			buf = appendMonth(buf, row)
 		}
 	}
 	for _, v := range m.W {
@@ -100,6 +94,20 @@ func (m *Model) MarshalBinary() ([]byte, error) {
 
 func appendF(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+// appendMonth appends a month table's scores; a nil table, which reads
+// as all zeros, writes zeros.
+func appendMonth(buf []byte, t *SIMonth) []byte {
+	if t == nil {
+		t = new(SIMonth)
+	}
+	for d := range t {
+		for _, v := range t[d] {
+			buf = appendF(buf, v)
+		}
+	}
+	return buf
 }
 
 func rowIsZero(row *SIMonth) bool {
@@ -193,23 +201,14 @@ func (m *Model) unmarshalSparse(body []byte) error {
 			m.SIy[mo] = nil
 			continue
 		}
-		var row SIMonth
-		zero := true
-		for d := range row {
-			for i := range row[d] {
-				if err := r.f64(&row[d][i], "body"); err != nil {
-					return err
-				}
-				if row[d][i] != 0 {
-					zero = false
-				}
-			}
+		row, err := r.month()
+		if err != nil {
+			return err
 		}
-		if zero {
+		if row == nil {
 			return fmt.Errorf("core: month %d marked present but all-zero", mo)
 		}
-		rowCopy := row
-		m.SIy[mo] = &rowCopy
+		m.SIy[mo] = row
 	}
 	return m.decodeTail(r)
 }
@@ -224,26 +223,35 @@ func (m *Model) unmarshalDense(body []byte) error {
 		return err
 	}
 	for mo := range m.SIy {
-		var row SIMonth
-		zero := true
-		for d := range row {
-			for i := range row[d] {
-				if err := r.f64(&row[d][i], "body"); err != nil {
-					return err
-				}
-				if row[d][i] != 0 {
-					zero = false
-				}
-			}
+		row, err := r.month()
+		if err != nil {
+			return err
 		}
-		if zero {
-			m.SIy[mo] = nil // preserve laziness for untouched months
-		} else {
-			rowCopy := row
-			m.SIy[mo] = &rowCopy
-		}
+		m.SIy[mo] = row
 	}
 	return m.decodeTail(r)
+}
+
+// month reads one month table's scores. An all-zero table decodes as
+// nil, the unallocated form that reads the same.
+func (r *modelReader) month() (*SIMonth, error) {
+	var t SIMonth
+	zero := true
+	for d := range t {
+		for i := range t[d] {
+			if err := r.f64(&t[d][i], "body"); err != nil {
+				return nil, err
+			}
+			if t[d][i] != 0 {
+				zero = false
+			}
+		}
+	}
+	if zero {
+		return nil, nil
+	}
+	cp := t
+	return &cp, nil
 }
 
 // decodeDenseScores reads the always-present SI_d/SI_w/SI_m tables.
@@ -260,14 +268,9 @@ func (m *Model) decodeDenseScores(r *modelReader) error {
 			}
 		}
 	}
-	for d := range m.SIm {
-		for i := range m.SIm[d] {
-			if err := r.f64(&m.SIm[d][i], "body"); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	t, err := r.month()
+	m.SIm = t
+	return err
 }
 
 // decodeTail reads the weights, counters and options shared by both
@@ -328,24 +331,11 @@ func (m *Model) marshalDense() ([]byte, error) {
 			writeF(v)
 		}
 	}
-	for d := range m.SIm {
-		for _, v := range m.SIm[d] {
-			writeF(v)
-		}
+	tables := appendMonth(nil, m.SIm)
+	for _, row := range m.SIy {
+		tables = appendMonth(tables, row)
 	}
-	for mo := range m.SIy {
-		row := m.SIy[mo]
-		if row == nil {
-			// Unallocated month: all scores zero; the wire format stays
-			// identical to an eagerly allocated table.
-			row = &SIMonth{}
-		}
-		for d := range row {
-			for _, v := range row[d] {
-				writeF(v)
-			}
-		}
-	}
+	buf.Write(tables)
 	for _, v := range m.W {
 		writeF(v)
 	}

@@ -126,7 +126,9 @@ func TestCodecSparseRejections(t *testing.T) {
 }
 
 // TestCodecFreshModelTiny pins the size win for an untrained model —
-// the common state of most VMs at the first month-boundary checkpoint.
+// the common state of most VMs at the first month-boundary checkpoint —
+// and the wire form of its unallocated SI_m table: the same zeros an
+// allocated all-zero table writes, decoded back as unallocated.
 func TestCodecFreshModelTiny(t *testing.T) {
 	data, err := New().MarshalBinary()
 	if err != nil {
@@ -135,8 +137,16 @@ func TestCodecFreshModelTiny(t *testing.T) {
 	if len(data) > 8*1024 {
 		t.Fatalf("fresh model encodes to %d bytes; want under 8 KB", len(data))
 	}
+	zeroed := New()
+	zeroed.SIm = new(SIMonth)
+	if again, err := zeroed.MarshalBinary(); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("an all-zero SI_m table encodes differently from an absent one (err %v)", err)
+	}
 	var got Model
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
+	}
+	if got.SIm != nil {
+		t.Fatal("an all-zero SI_m table decodes as allocated")
 	}
 }

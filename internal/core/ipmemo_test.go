@@ -49,7 +49,7 @@ func TestIPAtMatchesUncachedTwin(t *testing.T) {
 				twin.Observe(st, a)
 			case op < 6:
 				st, a, b := simtime.Decompose(hour()), act(), act()
-				ObserveColumn(st, []*Model{donor, m}, []float64{b, a})
+				ObserveColumn(st, []*Model{donor, m}, []float64{b, a}, KeepAll)
 				twin.Observe(st, a)
 			case op < 10:
 				h := hour()
@@ -115,24 +115,28 @@ func TestIPAtSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-// TestModelFootprint pins the model's layout: it fits the 8 KB
-// allocation class, and the IP memo and the weights share the struct's
-// first cache line, so a memo hit reads one line of the model.
+// TestModelFootprint pins the model's layout: it fits the 1,792-byte
+// allocation class, the IP memo and the weights share the struct's
+// first cache line, so a memo hit reads one line of the model, and the
+// table pointers observe reads sit within the first four lines.
 func TestModelFootprint(t *testing.T) {
 	var m Model
-	if size := unsafe.Sizeof(m); size > 8192 {
-		t.Errorf("Model is %d bytes, above the 8,192-byte allocation class", size)
+	if size := unsafe.Sizeof(m); size > 1792 {
+		t.Errorf("Model is %d bytes, above the 1,792-byte allocation class", size)
 	}
 	for _, f := range []struct {
 		name      string
 		off, size uintptr
+		from, to  uintptr
 	}{
-		{"memoHour", unsafe.Offsetof(m.memoHour), unsafe.Sizeof(m.memoHour)},
-		{"memoIP", unsafe.Offsetof(m.memoIP), unsafe.Sizeof(m.memoIP)},
-		{"W", unsafe.Offsetof(m.W), unsafe.Sizeof(m.W)},
+		{"memoHour", unsafe.Offsetof(m.memoHour), unsafe.Sizeof(m.memoHour), 0, 64},
+		{"memoIP", unsafe.Offsetof(m.memoIP), unsafe.Sizeof(m.memoIP), 0, 64},
+		{"W", unsafe.Offsetof(m.W), unsafe.Sizeof(m.W), 0, 64},
+		{"SIy", unsafe.Offsetof(m.SIy), unsafe.Sizeof(m.SIy), 64, 256},
+		{"SIm", unsafe.Offsetof(m.SIm), unsafe.Sizeof(m.SIm), 64, 256},
 	} {
-		if f.off+f.size > 64 {
-			t.Errorf("%s spans bytes %d–%d, outside the first 64", f.name, f.off, f.off+f.size)
+		if f.off < f.from || f.off+f.size > f.to {
+			t.Errorf("%s spans bytes %d–%d, outside %d–%d", f.name, f.off, f.off+f.size, f.from, f.to)
 		}
 	}
 }

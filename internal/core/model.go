@@ -93,9 +93,9 @@ func (o Options) withDefaults() Options {
 // the VM's host or from its serial phases, so no locking is needed.
 type Model struct {
 	// The fields every read or observation touches come first, so a
-	// memo hit reads only the model's first cache line, and the fixed
-	// fields observe reads (these and the year-row pointers) span at
-	// most three lines. TestModelFootprint pins the layout.
+	// memo hit reads only the model's first cache line; the other fixed
+	// fields observe reads (the counters, the options and the table
+	// pointers) fill the next three. TestModelFootprint pins the layout.
 
 	// memoHour and memoIP are IPAt's one-hour memo: memoIP is the IP at
 	// hour memoHour−1, and memoHour 0 marks the memo empty (hours are
@@ -118,18 +118,36 @@ type Model struct {
 	opts Options
 
 	// SI scores per calendar scale; all in [−1, 1], positive = idle.
-	// The year scale is by far the largest table (12×31×24 floats) while
-	// a typical simulation only ever observes a few months, so its month
-	// rows allocate lazily on first write — a nil row reads as all
-	// zeros, exactly the undetermined state a fresh array holds.
+	// The day-of-month table (SIm, 31×24 floats) and the year table's
+	// month rows (SIy, 12 of them) are allocated on a write that a read
+	// can come back to: a cell is next read one month (at least 672
+	// hours) or one year (8,760 hours) after its write, so in a run
+	// whose read horizon ends sooner, observe leaves the table nil
+	// (see observe). A nil table reads as all zeros, exactly the
+	// undetermined state a fresh one holds.
 	SIy [simtime.MonthsPerYear]*SIMonth
+	SIm *SIMonth
 	SId [simtime.HoursPerDay]float64
 	SIw [simtime.DaysPerWeek][simtime.HoursPerDay]float64
-	SIm [simtime.DaysPerMonth][simtime.HoursPerDay]float64
 }
 
-// SIMonth is one month row of the year-scale SI table.
+// SIMonth is a table of SI scores by day of month and hour of day: the
+// day-of-month scale's table, and one month row of the year scale's.
 type SIMonth [simtime.DaysPerMonth][simtime.HoursPerDay]float64
+
+// Read-back gaps: a cell written at hour h is next read at h plus its
+// scale's gap or later. The calendar repeats every HoursPerYear hours,
+// and the shortest gap between two hours that share a day of month and
+// an hour of day is 28 days (February).
+const (
+	monthGap = 28 * simtime.HoursPerDay
+	yearGap  = simtime.HoursPerYear
+)
+
+// KeepAll is the read horizon of a model whose every cell may be read
+// back: Model.Observe passes it, and so do callers of ObserveColumn
+// whose models outlive the hours they observe.
+const KeepAll = simtime.Hour(math.MaxInt64)
 
 // New returns a fresh model: all SI scores zero (undetermined behaviour)
 // and uniform weights.
@@ -150,15 +168,18 @@ func (m *Model) Options() Options { return m.opts }
 // scores gathers the four SI values associated with a calendar hour, in
 // scale order (day, week, month, year).
 func (m *Model) scores(st simtime.Stamp) [NumScales]float64 {
-	y := 0.0
+	month, year := 0.0, 0.0
+	if t := m.SIm; t != nil {
+		month = t[st.DayOfMonth][st.HourOfDay]
+	}
 	if row := m.SIy[st.Month]; row != nil {
-		y = row[st.DayOfMonth][st.HourOfDay]
+		year = row[st.DayOfMonth][st.HourOfDay]
 	}
 	return [NumScales]float64{
 		m.SId[st.HourOfDay],
 		m.SIw[st.DayOfWeek][st.HourOfDay],
-		m.SIm[st.DayOfMonth][st.HourOfDay],
-		y,
+		month,
+		year,
 	}
 }
 
@@ -184,10 +205,13 @@ func (m *Model) IPProfileInto(stamps []simtime.Stamp, out []float64) {
 // hour computes IP(Decompose(h)) and stores it. It is the one per-VM IP
 // memo: the runtime's grace-time probabilities and the policies' VM,
 // host and IP-range reads all arrive here, nearly all at the hour being
-// played. observe and decoding clear the memo, so a served IP is
-// bit-identical to IP(Decompose(h)); the exported SI and weight fields
-// bypass it, so code that writes them directly must do so before any
-// read.
+// played. Decoding clears the memo, and so does an observe that stores
+// every cell it updates, so a served IP is bit-identical to
+// IP(Decompose(h)). An observe that skips a cell leaves the memo
+// holding the IP its stored cells would give at the observed hour,
+// which IP(Decompose(h)) no longer returns there (see observe). The
+// exported SI and weight fields bypass the memo, so code that writes
+// them directly must do so before any read.
 func (m *Model) IPAt(h simtime.Hour) float64 {
 	if m.memoHour != h+1 {
 		m.memoize(h)
@@ -249,14 +273,25 @@ func u(absSI float64) float64 {
 // activity must be in [0, 1]; levels below the noise floor count as an
 // idle hour.
 func (m *Model) Observe(st simtime.Stamp, activity float64) {
-	m.observe(st, activity, nil)
+	m.observe(st, activity, nil, KeepAll)
 }
 
 // observe is Observe with an optional cross-model update memo, threaded
 // in by ObserveColumn so replicated models in one column share their
-// eq. 5 exponentials (see columnMemo in batch.go). memo nil means the
-// plain per-model path.
-func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo) {
+// eq. 5 exponentials (see columnMemo in batch.go), and with the read
+// horizon: the last hour any IP read of the model can reach. memo nil
+// means the plain per-model path.
+//
+// A missing SI_m table or SI_y row is allocated only when the cell
+// written at st.AbsHour can be read again by then, at its read-back gap.
+// Otherwise the cell's update goes to a scratch that reads 0, the value
+// a fresh table holds, and is dropped. The skip is exact for every read
+// up to the horizon: a cell read at hour r ≤ horizon was last written
+// at r − gap or earlier, and that write allocated its table. The one
+// read that can reach a skipped cell is a read at st.AbsHour after this
+// observe, so a skipping observe leaves IPAt's memo holding the IP a
+// stored cell would give there, dot(W, siNew), instead of clearing it.
+func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, horizon simtime.Hour) {
 	if activity < 0 || activity > 1 || math.IsNaN(activity) {
 		panic(fmt.Sprintf("core: activity %v out of [0,1]", activity))
 	}
@@ -272,18 +307,30 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo) {
 
 	w0 := m.W
 	// Resolve the four SI cells once; the gather and the write-back
-	// share the index arithmetic (the year row is allocated up front —
-	// a fresh row reads as zero, like the lazy nil row).
+	// share the index arithmetic. A table left unallocated has its cell
+	// in skip.
+	mt := m.SIm
+	if mt == nil && st.AbsHour <= horizon-monthGap {
+		mt = new(SIMonth)
+		m.SIm = mt
+	}
 	row := m.SIy[st.Month]
-	if row == nil {
+	if row == nil && st.AbsHour <= horizon-yearGap {
 		row = new(SIMonth)
 		m.SIy[st.Month] = row
 	}
+	var skip [2]float64
 	cells := [NumScales]*float64{
 		&m.SId[st.HourOfDay],
 		&m.SIw[st.DayOfWeek][st.HourOfDay],
-		&m.SIm[st.DayOfMonth][st.HourOfDay],
-		&row[st.DayOfMonth][st.HourOfDay],
+		&skip[0],
+		&skip[1],
+	}
+	if mt != nil {
+		cells[ScaleMonth] = &mt[st.DayOfMonth][st.HourOfDay]
+	}
+	if row != nil {
+		cells[ScaleYear] = &row[st.DayOfMonth][st.HourOfDay]
 	}
 	siOld := [NumScales]float64{*cells[0], *cells[1], *cells[2], *cells[3]}
 
@@ -301,10 +348,16 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo) {
 		}
 		*cells[k] = siNew[k]
 	}
-	// The scores and weights change: drop the memoized IP.
-	m.memoHour = 0
 
 	m.learnWeights(w0, siOld, siNew)
+	// The scores and weights changed. A skipped cell no longer holds
+	// siNew, so the memo keeps the hour's IP; otherwise it is dropped.
+	if mt == nil || row == nil {
+		m.memoIP = dot(m.W, siNew)
+		m.memoHour = st.AbsHour + 1
+	} else {
+		m.memoHour = 0
+	}
 
 	if !idle {
 		m.activeSum += activity
@@ -381,10 +434,14 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// Clone returns a deep copy of the model: the year-scale month rows are
-// copied, not shared.
+// Clone returns a deep copy of the model: the SI_m table and the
+// year-scale month rows are copied, not shared.
 func (m *Model) Clone() *Model {
 	cp := *m
+	if m.SIm != nil {
+		t := *m.SIm
+		cp.SIm = &t
+	}
 	for mo, row := range m.SIy {
 		if row != nil {
 			r := *row

@@ -199,6 +199,10 @@ const (
 	// timerScanHorizonHours bounds the lookahead when converting a
 	// timer-driven VM's next active hour into an hr-timer.
 	timerScanHorizonHours = simtime.HoursPerYear
+	// readAheadHours is how far past the hour being played an IP read
+	// can reach: a drowsy-full round matches each VM's IP profile over
+	// its hour and the next drowsy.ProfileHours − 1.
+	readAheadHours = 23
 )
 
 // Arrival schedules the creation of a VM during the run. The VM must be
@@ -525,7 +529,7 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 		if start > 0 {
 			sh.engine.RunUntil(start)
 		}
-		sh.wm = waking.New(fmt.Sprintf("rack%d", s), sh.engine, lead, r.onWoL, vmTable)
+		sh.wm = waking.New(sh.engine, lead, r.onWoL, vmTable)
 		if r.net != nil {
 			sh.wm.SetDelivery(r.net, r.onLossyWoL)
 		}
@@ -675,6 +679,10 @@ func (r *Runner) Run() *Result {
 		}
 	}
 
+	// The last hour any IP read of the run can reach: a round at the
+	// last hour reads readAheadHours past it. DESIGN.md ("Idleness-model
+	// fast paths") lists every read site.
+	horizon := r.cfg.StartHour + simtime.Hour(r.cfg.Hours-1+readAheadHours)
 	timed := r.cfg.Probe != nil && r.cfg.ProbeTimings
 	var tPhase time.Time
 	for i := r.startIndex; i < r.cfg.Hours; i++ {
@@ -781,11 +789,14 @@ func (r *Runner) Run() *Result {
 		// Models are mutually independent, so the host-major order
 		// observes the same bits the serial VM-order loop would. The
 		// calendar stamp is shared across VMs (it only depends on hr).
+		// Cells no read of the run comes back to are not stored; an
+		// observe that skips one leaves the hour's IP in the model's
+		// memo for the boundary's scheduled wakes to read.
 		if r.observe {
 			st := hr.Stamp()
 			par.For(r.cfg.ShardWorkers, len(r.shards), func(s int) {
 				sh := r.shards[s]
-				core.ObserveColumn(st, sh.obsModels, sh.obsActs)
+				core.ObserveColumn(st, sh.obsModels, sh.obsActs, horizon)
 			})
 		}
 		if timed {

@@ -224,7 +224,8 @@ func ScalingCluster(n int) *cluster.Cluster {
 // train independently on the worker pool; within a chunk the walk is
 // hour-major and each hour's observations batch into one
 // core.ObserveColumn sweep (replicated VMs collapse their exponential
-// updates into the column memo). Bit-identical to the plain
+// updates into the column memo). The trained models are read after
+// training, so every cell is kept. Bit-identical to the plain
 // per-VM/per-hour Observe loop at any worker count.
 func trainHours(c *cluster.Cluster, hours int) { trainHoursWorkers(c, hours, 0) }
 
@@ -245,7 +246,7 @@ func trainHoursWorkers(c *cluster.Cluster, hours, workers int) {
 			for i, v := range part {
 				acts[i] = v.Activity(h)
 			}
-			core.ObserveColumn(simtime.Decompose(h), models, acts)
+			core.ObserveColumn(simtime.Decompose(h), models, acts, core.KeepAll)
 		}
 	})
 }

@@ -167,11 +167,6 @@ func (m *Monitor) Check(now simtime.Time) Decision {
 	return d
 }
 
-// Stats returns (decisions evaluated, vetoes by grace, vetoes by busy).
-func (m *Monitor) Stats() (decisions, graceVetoes, busyVetoes uint64) {
-	return m.decisions, m.vetoGrace, m.vetoBusy
-}
-
 // MonitorState is the complete serializable state of a Monitor minus
 // its configuration and OS handle (both reconstructed at restore), for
 // deterministic run checkpoints.

@@ -148,9 +148,8 @@ func TestCheckVetoesBusyHost(t *testing.T) {
 	if d := m.Check(100); !d.Suspend {
 		t.Fatal("sleeping host should suspend")
 	}
-	_, grace, busy := m.Stats()
-	if grace != 0 || busy != 2 {
-		t.Fatalf("veto stats grace=%d busy=%d", grace, busy)
+	if st := m.CheckpointState(); st.VetoGrace != 0 || st.VetoBusy != 2 {
+		t.Fatalf("veto counts grace=%d busy=%d", st.VetoGrace, st.VetoBusy)
 	}
 }
 

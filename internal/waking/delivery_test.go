@@ -10,7 +10,7 @@ import (
 func TestSetDeliveryRoutesWakes(t *testing.T) {
 	e := sim.New()
 	var perfect []netsim.MAC
-	m := newTestModule("rack0", e, &perfect)
+	m := newTestModule(e, &perfect)
 	lm := netsim.NewLossModel(netsim.Config{WakeLoss: 1}.WithDefaults(), nil, 8)
 	var outs []netsim.WakeOutcome
 	var macs []netsim.MAC
@@ -53,7 +53,7 @@ func TestSetDeliveryRoutesWakes(t *testing.T) {
 func TestSetDeliveryReset(t *testing.T) {
 	e := sim.New()
 	var perfect []netsim.MAC
-	m := newTestModule("rack0", e, &perfect)
+	m := newTestModule(e, &perfect)
 	lm := netsim.NewLossModel(netsim.Config{}.WithDefaults(), nil, 8)
 	m.SetDelivery(lm, func(netsim.MAC, netsim.WakeOutcome) {})
 	m.SetDelivery(nil, nil) // back to the perfect callback
@@ -69,7 +69,7 @@ func TestSetDeliveryReset(t *testing.T) {
 func TestSetDeliveryHalfNilPanics(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	lm := netsim.NewLossModel(netsim.Config{}.WithDefaults(), nil, 1)
 	for name, fn := range map[string]func(){
 		"model without callback": func() { m.SetDelivery(lm, nil) },

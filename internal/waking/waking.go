@@ -14,8 +14,6 @@
 package waking
 
 import (
-	"fmt"
-
 	"drowsydc/internal/netsim"
 	"drowsydc/internal/sim"
 	"drowsydc/internal/simtime"
@@ -23,8 +21,6 @@ import (
 
 // Module is one waking module instance.
 type Module struct {
-	Name string
-
 	engine *sim.Engine
 	wol    func(netsim.MAC)
 	lead   simtime.Duration // wake this much ahead of the scheduled date
@@ -53,7 +49,7 @@ type hostWake struct {
 // New creates a waking module. wol delivers Wake-on-LAN to a host; lead
 // is the resume latency compensated when firing scheduled dates; vms is
 // the VM→MAC table the module's switch records its mappings in.
-func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim.MAC), vms *netsim.Table) *Module {
+func New(engine *sim.Engine, lead simtime.Duration, wol func(netsim.MAC), vms *netsim.Table) *Module {
 	if wol == nil {
 		panic("waking: nil WoL sender")
 	}
@@ -61,7 +57,6 @@ func New(name string, engine *sim.Engine, lead simtime.Duration, wol func(netsim
 		panic("waking: negative lead")
 	}
 	m := &Module{
-		Name:   name,
 		engine: engine,
 		wol:    wol,
 		lead:   lead,
@@ -173,18 +168,6 @@ func (m *Module) fireWoL(mac netsim.MAC) {
 // Stats returns (scheduled wakes fired, packet wakes fired).
 func (m *Module) Stats() (scheduled, packet uint64) {
 	return m.scheduledWakes, m.packetWakes
-}
-
-// String renders a diagnostic summary.
-func (m *Module) String() string {
-	scheduled := 0
-	for _, w := range m.wakes.All() {
-		if w.timer != nil {
-			scheduled++
-		}
-	}
-	return fmt.Sprintf("waking[%s]{suspended=%d scheduled=%d}",
-		m.Name, len(m.sw.SuspendedHosts()), scheduled)
 }
 
 // PendingWakeDate returns the registered waking date of a suspended

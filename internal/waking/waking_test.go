@@ -2,21 +2,20 @@ package waking
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"drowsydc/internal/netsim"
 	"drowsydc/internal/sim"
 )
 
-func newTestModule(name string, e *sim.Engine, woken *[]netsim.MAC) *Module {
-	return New(name, e, 1 /* 1s lead */, func(m netsim.MAC) { *woken = append(*woken, m) }, netsim.NewTable(0))
+func newTestModule(e *sim.Engine, woken *[]netsim.MAC) *Module {
+	return New(e, 1 /* 1s lead */, func(m netsim.MAC) { *woken = append(*woken, m) }, netsim.NewTable(0))
 }
 
 func TestScheduledWakeFiresAheadOfTime(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	// Host 3 suspends at t=0, waking date t=100; lead is 1s → WoL at 99.
 	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
 	e.RunUntil(98)
@@ -36,7 +35,7 @@ func TestScheduledWakeFiresAheadOfTime(t *testing.T) {
 func TestPacketWake(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	m.HostSuspended(5, []netsim.VMID{42}, 0, false) // indefinite sleep
 	if !m.PacketArrived(netsim.Packet{Dst: 42}) {
 		t.Fatal("packet should wake host 5")
@@ -52,7 +51,7 @@ func TestPacketWake(t *testing.T) {
 func TestHostResumedCancelsSchedule(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	m.HostSuspended(4, []netsim.VMID{9}, 50, true)
 	m.HostResumed(4) // e.g. woken early by a packet elsewhere
 	e.RunUntil(200)
@@ -68,7 +67,7 @@ func TestPastWakeDateFiresImmediately(t *testing.T) {
 	e := sim.New()
 	e.RunUntil(1000)
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	// Waking date minus lead is in the past: fire at now.
 	m.HostSuspended(1, []netsim.VMID{2}, 1000, true)
 	e.RunUntil(1001)
@@ -85,7 +84,7 @@ func TestConstructorValidation(t *testing.T) {
 				t.Error("nil wol should panic")
 			}
 		}()
-		New("x", e, 1, nil, netsim.NewTable(0))
+		New(e, 1, nil, netsim.NewTable(0))
 	}()
 	func() {
 		defer func() {
@@ -93,22 +92,8 @@ func TestConstructorValidation(t *testing.T) {
 				t.Error("negative lead should panic")
 			}
 		}()
-		New("x", e, -1, func(netsim.MAC) {}, netsim.NewTable(0))
+		New(e, -1, func(netsim.MAC) {}, netsim.NewTable(0))
 	}()
-}
-
-func TestStringer(t *testing.T) {
-	e := sim.New()
-	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
-	if m.String() == "" {
-		t.Fatal("empty String")
-	}
-	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
-	m.HostSuspended(5, []netsim.VMID{2}, 0, false)
-	if s := m.String(); !strings.Contains(s, "suspended=2 scheduled=1") {
-		t.Fatalf("String = %q, want two sleepers and one scheduled wake", s)
-	}
 }
 
 // TestPendingWakeDateAndCounters pins the checkpoint surface: the raw
@@ -117,7 +102,7 @@ func TestStringer(t *testing.T) {
 func TestPendingWakeDateAndCounters(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	m.HostSuspended(3, []netsim.VMID{1}, 100, true)
 	if at, ok := m.PendingWakeDate(3); !ok || at != 100 {
 		t.Fatalf("PendingWakeDate(3) = %v,%v; want 100,true", at, ok)
@@ -140,7 +125,7 @@ func TestPendingWakeDateAndCounters(t *testing.T) {
 func TestSwitchAccessor(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	if m.Switch() == nil {
 		t.Fatal("nil switch")
 	}
@@ -153,7 +138,7 @@ func TestSwitchAccessor(t *testing.T) {
 func TestFireScheduledEarly(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	// No pending wake: nothing to report or fire.
 	if _, ok := m.ScheduledFire(9); ok {
 		t.Fatal("phantom scheduled fire on an unknown host")
@@ -196,7 +181,7 @@ func TestFireScheduledEarly(t *testing.T) {
 func TestScheduledFireClampsToPresent(t *testing.T) {
 	e := sim.New()
 	var woken []netsim.MAC
-	m := newTestModule("rack0", e, &woken)
+	m := newTestModule(e, &woken)
 	e.RunUntil(50)
 	// Waking date nearly due: the lead would reach before now.
 	m.HostSuspended(2, []netsim.VMID{1}, 50, true)
@@ -215,7 +200,7 @@ func TestScheduledFireClampsToPresent(t *testing.T) {
 // whose wakes lie far beyond any cycle's.
 func moduleWithSleepers(sleepers int) (*Module, *sim.Engine) {
 	e := sim.New()
-	m := New("a", e, 1, func(netsim.MAC) {}, netsim.NewTable(0))
+	m := New(e, 1, func(netsim.MAC) {}, netsim.NewTable(0))
 	for h := 0; h < sleepers; h++ {
 		mac := netsim.MAC(1 + h)
 		m.HostSuspended(mac, []netsim.VMID{netsim.VMID(4 * mac), netsim.VMID(4*mac + 1)}, 1<<40, true)
