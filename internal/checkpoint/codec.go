@@ -24,9 +24,10 @@ const (
 	maxSection = 1 << 30
 )
 
-// Encode serializes a RunState.
+// Encode serializes a RunState into a buffer of exactly its encoded
+// length, allocated once.
 func Encode(st *RunState) []byte {
-	w := &stateWriter{}
+	w := &stateWriter{buf: make([]byte, 0, encodedLen(st))}
 	w.u32(stateMagic)
 	w.u32(stateVersion)
 	w.i64(st.Hour)
@@ -102,6 +103,38 @@ func Encode(st *RunState) []byte {
 		w.i32(d.Migrations)
 	}
 	return w.buf
+}
+
+// Fixed byte counts of Encode's layout. fixedLen is everything outside
+// the VM, host and shard entries and the variable-length sections: the
+// magic, the version, the three hours, the policy name's and policy
+// state's length prefixes, the VM, host and shard counts, the net flag,
+// the migration ledger and the departed-VM count. vmLen, hostLen and
+// shardLen are one entry without its model, VM IDs or latency samples.
+const (
+	fixedLen = 4 + 4 + 3*8 + 2 + 4 + 3*4 + 1 + 2*8 + 4
+	vmLen    = 4 + 4 + 1 + 8 + 4
+	hostLen  = 4 + 4 + 1 + 3*8 + 5*8 + 3*8 + 2*8 + 8 + 1 + 3*8 + 8 + 1 + 8
+	shardLen = 4 + 4 + 9*8
+)
+
+// encodedLen returns the exact length of Encode(st). It mirrors Encode
+// section by section; TestEncodeExactLength checks the two agree.
+func encodedLen(st *RunState) int {
+	n := fixedLen + len(st.Policy) + len(st.PolicyState) + 8*len(st.Departed)
+	for i := range st.VMs {
+		n += vmLen + len(st.VMs[i].Model)
+	}
+	for i := range st.Hosts {
+		n += hostLen + 4*len(st.Hosts[i].VMIDs)
+	}
+	for i := range st.Shards {
+		n += shardLen + 16*(len(st.Shards[i].Latency)+len(st.Shards[i].WakeLatency))
+	}
+	if st.HasNet {
+		n += 4 + 8*len(st.NetSerials)
+	}
+	return n
 }
 
 // Decode deserializes a RunState, rejecting truncation, bad magic,

@@ -188,3 +188,20 @@ func TestDecodeRejectsUnsortedSamples(t *testing.T) {
 		t.Fatal("negative latency sample accepted")
 	}
 }
+
+// TestEncodeExactLength: Encode sizes its buffer once, exactly — the
+// sample state (every section), a minimal one and a synthetic fleet
+// encode in one allocation to a slice whose capacity is its length.
+func TestEncodeExactLength(t *testing.T) {
+	noNet := sampleState()
+	noNet.HasNet, noNet.NetSerials = false, nil
+	for _, st := range []*RunState{sampleState(), noNet, {Policy: "oasis"}, syntheticRunState(64)} {
+		if data := Encode(st); len(data) != cap(data) || len(data) != encodedLen(st) {
+			t.Fatalf("policy %q: encoded %d bytes into a buffer of %d (encodedLen %d)",
+				st.Policy, len(data), cap(data), encodedLen(st))
+		}
+		if n := testing.AllocsPerRun(5, func() { Encode(st) }); n != 1 {
+			t.Fatalf("policy %q: Encode allocated %v times, want 1", st.Policy, n)
+		}
+	}
+}

@@ -1,107 +1,135 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"drowsydc/internal/simtime"
 )
 
 // codecMagic and the codec versions guard the binary format of a
 // serialized idleness model. Run checkpoints (internal/checkpoint) carry
-// each VM's model in it.
+// each VM's model in it. Every version starts with the magic and the
+// version (4 bytes each), then SI_d and SI_w in full, and ends with the
+// same tail: the 4 weights, activeSum, activeCount, hoursObserved,
+// hoursIdle and the three option fields. They differ in how they write
+// the two large tables, SI_m and the 12 SI_y month rows (744 scores
+// each):
+//   - Version 1 (dense) writes SI_m and all 12 SI_y rows, an unallocated
+//     one as zeros: 79 KB per model however little of the year was
+//     observed.
+//   - Version 2 writes SI_m in full, then a 16-bit bitmap with bit mo
+//     set for each SI_y row present, then those rows in month order.
+//   - Version 3 moves SI_m behind bit 12 of that bitmap, after the SI_y
+//     rows, so a model with no stored table costs 1,634 bytes.
 //
-// Version 1 is the dense layout: all 12 SI_y month tables written
-// unconditionally (unallocated months as zeros) — 79 KB per model
-// regardless of how much of the year was observed. Version 2 keeps the
-// same header/tail but encodes SI_y sparsely behind a month-presence
-// bitmap, so a model that has only seen a few months costs a few KB.
-// Both write the SI_m table in full, an unallocated one as zeros, and
-// decode an all-zero table or month row as unallocated, which reads the
-// same.
-// That sparsity is what makes month-boundary run checkpoints feasible at
-// fleet scale (65,536 VMs × 79 KB would be 5 GB per checkpoint; sparse
-// models early in a run are ~8 KB). Encoding always emits version 2;
-// decoding accepts both.
+// A table is written only when it is allocated and holds a non-zero
+// score: an all-zero table reads as an unallocated one, so it is
+// canonicalized to absent, and every decoder restores an absent or
+// all-zero table as nil. So encode∘decode∘encode is a fixed point, and
+// a checkpoint captured right after a resume is byte-identical to the
+// straight-through capture. Encoding always writes version 3; decoding
+// accepts all three, so checkpoints from earlier builds still resume.
 const (
 	codecMagic         = 0x44724459 // "DrDY"
 	codecVersionDense  = 1
 	codecVersionSparse = 2
+	codecVersion       = 3
 )
 
-// scoresPerMonth is the size of one SI_y month table.
+// scoresPerMonth is the size of one SI_m or SI_y month table.
 const scoresPerMonth = simtime.HoursPerDay * simtime.DaysPerMonth
 
-// denseScores is the number of SI values outside SI_y:
-// 24 SI_d + 24×7 SI_w + 24×31 SI_m.
-const denseScores = simtime.HoursPerDay +
-	simtime.HoursPerDay*simtime.DaysPerWeek +
-	simtime.HoursPerDay*simtime.DaysPerMonth
+// fixedScores is the number of SI values every version writes in full:
+// 24 SI_d + 24×7 SI_w.
+const fixedScores = simtime.HoursPerDay + simtime.HoursPerDay*simtime.DaysPerWeek
 
 // tailValues counts the fixed values after the score tables: the 4
 // weights, activeSum, activeCount, hoursObserved, hoursIdle and the
 // three option fields.
-const tailValues = NumScales + 8
+const tailValues = NumScales + 7
 
-// MarshalBinary encodes the model in the sparse little-endian version-2
-// layout. An SI_y month is written only when its table is allocated and
-// carries at least one non-zero score; the decoder leaves absent months
-// nil. All-zero allocated months are canonicalized to "absent" so that
-// encode∘decode∘encode is a fixed point — checkpoint re-encodes of a
-// restored model are byte-identical to the original capture.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	months := 0
-	var present uint16
-	for mo, row := range m.SIy {
-		if row == nil || rowIsZero(row) {
-			continue
-		}
-		present |= 1 << uint(mo)
-		months++
+// numTables is the number of tables behind the version-3 bitmap: bits
+// 0–11 are the SI_y month rows, bit simBit is SI_m.
+const (
+	simBit    = simtime.MonthsPerYear
+	numTables = simBit + 1
+)
+
+// table returns the model's table behind bitmap bit b.
+func (m *Model) table(b int) **SIMonth {
+	if b == simBit {
+		return &m.SIm
 	}
-	buf := make([]byte, 0, 10+8*(denseScores+months*scoresPerMonth+tailValues))
-	buf = binary.LittleEndian.AppendUint32(buf, codecMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, codecVersionSparse)
+	return &m.SIy[b]
+}
+
+// present returns the version-3 bitmap of m's stored tables: those
+// allocated and holding a non-zero score.
+func (m *Model) present() uint16 {
+	var present uint16
+	for b := range numTables {
+		if t := *m.table(b); t != nil && !rowIsZero(t) {
+			present |= 1 << b
+		}
+	}
+	return present
+}
+
+// EncodedLen returns the number of bytes AppendBinary appends for m.
+func (m *Model) EncodedLen() int { return encodedLen(m.present()) }
+
+// encodedLen is the version-3 length of a model whose bitmap is present:
+// the header, SI_d and SI_w, the bitmap, the present tables and the tail.
+func encodedLen(present uint16) int {
+	return 8 + 8*fixedScores + 2 + 8*(bits.OnesCount16(present)*scoresPerMonth+tailValues)
+}
+
+// AppendBinary appends the version-3 encoding of m to dst and returns
+// the extended slice; it implements encoding.BinaryAppender and never
+// fails. It grows dst at most once, by EncodedLen bytes, and not at all
+// when dst has that much spare capacity.
+func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
+	present := m.present()
+	dst = slices.Grow(dst, encodedLen(present))
+	dst = binary.LittleEndian.AppendUint32(dst, codecMagic)
+	dst = binary.LittleEndian.AppendUint32(dst, codecVersion)
 	for _, v := range m.SId {
-		buf = appendF(buf, v)
+		dst = appendF(dst, v)
 	}
 	for d := range m.SIw {
 		for _, v := range m.SIw[d] {
-			buf = appendF(buf, v)
+			dst = appendF(dst, v)
 		}
 	}
-	buf = appendMonth(buf, m.SIm)
-	buf = binary.LittleEndian.AppendUint16(buf, present)
-	for mo, row := range m.SIy {
-		if present&(1<<uint(mo)) != 0 {
-			buf = appendMonth(buf, row)
+	dst = binary.LittleEndian.AppendUint16(dst, present)
+	for b := range numTables {
+		if present&(1<<b) != 0 {
+			dst = appendMonth(dst, *m.table(b))
 		}
 	}
 	for _, v := range m.W {
-		buf = appendF(buf, v)
+		dst = appendF(dst, v)
 	}
-	buf = appendF(buf, m.activeSum)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.activeCount))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.hoursObserved))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.hoursIdle))
-	buf = appendF(buf, m.opts.NoiseFloor)
-	buf = appendF(buf, m.opts.DescentRate)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.opts.DescentSteps))
-	return buf, nil
+	dst = appendF(dst, m.activeSum)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.activeCount))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.hoursObserved))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.hoursIdle))
+	dst = appendF(dst, m.opts.NoiseFloor)
+	dst = appendF(dst, m.opts.DescentRate)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.opts.DescentSteps))
+	return dst, nil
 }
 
 func appendF(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 }
 
-// appendMonth appends a month table's scores; a nil table, which reads
-// as all zeros, writes zeros.
+// appendMonth appends a month table's scores.
 func appendMonth(buf []byte, t *SIMonth) []byte {
-	if t == nil {
-		t = new(SIMonth)
-	}
 	for d := range t {
 		for _, v := range t[d] {
 			buf = appendF(buf, v)
@@ -121,8 +149,8 @@ func rowIsZero(row *SIMonth) bool {
 	return true
 }
 
-// UnmarshalBinary decodes a model previously encoded by MarshalBinary —
-// either the dense version-1 layout or the sparse version-2 one.
+// UnmarshalBinary decodes a model encoded in any codec version: the
+// dense version 1, or the sparse versions 2 and 3.
 func (m *Model) UnmarshalBinary(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("core: truncated model header: %d bytes", len(data))
@@ -135,8 +163,8 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	switch version {
 	case codecVersionDense:
 		return m.unmarshalDense(data[8:])
-	case codecVersionSparse:
-		return m.unmarshalSparse(data[8:])
+	case codecVersionSparse, codecVersion:
+		return m.unmarshalSparse(data[8:], version)
 	default:
 		return fmt.Errorf("core: unsupported model version %d", version)
 	}
@@ -180,25 +208,38 @@ func (r *modelReader) u16(dst *uint16, section string) error {
 	return nil
 }
 
-// unmarshalSparse decodes the version-2 body (after magic+version).
-func (m *Model) unmarshalSparse(body []byte) error {
+// unmarshalSparse decodes a version-2 or version-3 body (after
+// magic+version). The two differ only in where SI_m sits: version 2
+// writes it in full before the bitmap, whose bits then cover the SI_y
+// rows alone; version 3 writes it behind bit simBit.
+func (m *Model) unmarshalSparse(body []byte, version uint32) error {
 	// The decoded scores and weights replace the current ones; drop the
 	// IP memoized from them.
 	m.memoHour = 0
 	r := &modelReader{data: body}
-	if err := m.decodeDenseScores(r); err != nil {
+	if err := m.decodeFixedScores(r); err != nil {
 		return err
+	}
+	tables := numTables
+	if version == codecVersionSparse {
+		t, err := r.month()
+		if err != nil {
+			return err
+		}
+		m.SIm = t
+		tables = simtime.MonthsPerYear
 	}
 	var present uint16
 	if err := r.u16(&present, "body"); err != nil {
 		return err
 	}
-	if present>>simtime.MonthsPerYear != 0 {
-		return fmt.Errorf("core: month bitmap %#x has bits beyond month %d", present, simtime.MonthsPerYear-1)
+	if present>>tables != 0 {
+		return fmt.Errorf("core: table bitmap %#x has bits beyond table %d", present, tables-1)
 	}
-	for mo := range m.SIy {
-		if present&(1<<uint(mo)) == 0 {
-			m.SIy[mo] = nil
+	for b := range tables {
+		t := m.table(b)
+		if present&(1<<b) == 0 {
+			*t = nil
 			continue
 		}
 		row, err := r.month()
@@ -206,22 +247,27 @@ func (m *Model) unmarshalSparse(body []byte) error {
 			return err
 		}
 		if row == nil {
-			return fmt.Errorf("core: month %d marked present but all-zero", mo)
+			return fmt.Errorf("core: table %d marked present but all-zero", b)
 		}
-		m.SIy[mo] = row
+		*t = row
 	}
 	return m.decodeTail(r)
 }
 
-// unmarshalDense decodes the legacy version-1 body: every SI_y month
-// written unconditionally, all-zero months restored as nil to preserve
+// unmarshalDense decodes the version-1 body: SI_m and every SI_y month
+// written unconditionally, all-zero ones restored as nil to preserve
 // allocation laziness.
 func (m *Model) unmarshalDense(body []byte) error {
 	m.memoHour = 0
 	r := &modelReader{data: body}
-	if err := m.decodeDenseScores(r); err != nil {
+	if err := m.decodeFixedScores(r); err != nil {
 		return err
 	}
+	t, err := r.month()
+	if err != nil {
+		return err
+	}
+	m.SIm = t
 	for mo := range m.SIy {
 		row, err := r.month()
 		if err != nil {
@@ -254,8 +300,9 @@ func (r *modelReader) month() (*SIMonth, error) {
 	return &cp, nil
 }
 
-// decodeDenseScores reads the always-present SI_d/SI_w/SI_m tables.
-func (m *Model) decodeDenseScores(r *modelReader) error {
+// decodeFixedScores reads the SI_d and SI_w tables every version
+// writes in full.
+func (m *Model) decodeFixedScores(r *modelReader) error {
 	for i := range m.SId {
 		if err := r.f64(&m.SId[i], "body"); err != nil {
 			return err
@@ -268,13 +315,11 @@ func (m *Model) decodeDenseScores(r *modelReader) error {
 			}
 		}
 	}
-	t, err := r.month()
-	m.SIm = t
-	return err
+	return nil
 }
 
-// decodeTail reads the weights, counters and options shared by both
-// versions, and rejects trailing garbage.
+// decodeTail reads the weights, counters and options every version
+// writes, and rejects trailing garbage.
 func (m *Model) decodeTail(r *modelReader) error {
 	for i := range m.W {
 		if err := r.f64(&m.W[i], "tail"); err != nil {
@@ -308,43 +353,4 @@ func (m *Model) decodeTail(r *modelReader) error {
 		return fmt.Errorf("core: %d trailing bytes after serialized model", len(r.data)-r.off)
 	}
 	return nil
-}
-
-// marshalDense encodes the legacy dense version-1 layout. It exists so
-// the codec tests can pin cross-version compatibility without keeping
-// frozen byte fixtures.
-func (m *Model) marshalDense() ([]byte, error) {
-	totalScores := denseScores + scoresPerMonth*simtime.MonthsPerYear
-	buf := bytes.NewBuffer(make([]byte, 0, 16+8*(totalScores+NumScales+4)))
-	var head = []uint32{codecMagic, codecVersionDense}
-	for _, v := range head {
-		if err := binary.Write(buf, binary.LittleEndian, v); err != nil {
-			return nil, err
-		}
-	}
-	writeF := func(v float64) { _ = binary.Write(buf, binary.LittleEndian, v) }
-	for _, v := range m.SId {
-		writeF(v)
-	}
-	for d := range m.SIw {
-		for _, v := range m.SIw[d] {
-			writeF(v)
-		}
-	}
-	tables := appendMonth(nil, m.SIm)
-	for _, row := range m.SIy {
-		tables = appendMonth(tables, row)
-	}
-	buf.Write(tables)
-	for _, v := range m.W {
-		writeF(v)
-	}
-	writeF(m.activeSum)
-	_ = binary.Write(buf, binary.LittleEndian, m.activeCount)
-	_ = binary.Write(buf, binary.LittleEndian, m.hoursObserved)
-	_ = binary.Write(buf, binary.LittleEndian, m.hoursIdle)
-	writeF(m.opts.NoiseFloor)
-	writeF(m.opts.DescentRate)
-	_ = binary.Write(buf, binary.LittleEndian, int64(m.opts.DescentSteps))
-	return buf.Bytes(), nil
 }

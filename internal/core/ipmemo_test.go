@@ -13,7 +13,7 @@ import (
 // IPAt from its one-hour memo and an uncaching twin go through one
 // seeded interleaving of Observe, ObserveColumn, IPAt reads,
 // IPProfileInto, Clone, and decoding another model's version-1 or
-// version-2 bytes into the warm model. Every answer must equal the
+// version-3 bytes into the warm model. Every answer must equal the
 // twin's IP bit for bit. Reads come in bursts at one hour and in runs
 // that alternate between two hours, and half of all hour picks repeat
 // the previous pick, so the memo is hit and replaced all the time: a
@@ -81,13 +81,9 @@ func TestIPAtMatchesUncachedTwin(t *testing.T) {
 				m, twin = cp, twin.Clone()
 			default:
 				donor.Observe(simtime.Decompose(hour()), act())
-				encode := donor.MarshalBinary
+				data := encode(t, donor)
 				if rng.IntN(2) == 0 {
-					encode = donor.marshalDense
-				}
-				data, err := encode()
-				if err != nil {
-					t.Fatal(err)
+					data = donor.marshalDense(t)
 				}
 				if err := m.UnmarshalBinary(data); err != nil {
 					t.Fatal(err)

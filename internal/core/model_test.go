@@ -280,10 +280,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	for h := simtime.Hour(0); h < 30*24; h++ {
 		m.Observe(simtime.Decompose(h), g.Activity(h))
 	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encode(t, m)
 	var got Model
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
@@ -312,7 +309,7 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if err := m.UnmarshalBinary([]byte{1, 2, 3, 4, 5, 6, 7, 8}); err == nil {
 		t.Fatal("bad magic should fail")
 	}
-	good, _ := New().MarshalBinary()
+	good := encode(t, New())
 	if err := m.UnmarshalBinary(good[:len(good)/2]); err == nil {
 		t.Fatal("truncated input should fail")
 	}

@@ -19,7 +19,12 @@ import (
 // ResumeRunner replays the hourly recorder's last call, which restores
 // the one hour of utilization Neat's overload detector reads, and
 // oasis rebuilds its idle rings from traces.
+//
+// Every VM's model is encoded into one arena sized by the models'
+// EncodedLen, and each VMState.Model is a capped sub-slice of it, so
+// the models cost one allocation per capture, not one per VM.
 func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
+	vms, hosts := r.cluster.VMs(), r.cluster.Hosts()
 	st := &checkpoint.RunState{
 		Hour:          int64(hr),
 		StartHour:     int64(r.cfg.StartHour),
@@ -27,25 +32,38 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 		Policy:        r.policy.Name(),
 		Migrations:    int64(r.cluster.Migrations()),
 		MigrationSecs: r.cluster.MigrationSeconds(),
+		VMs:           make([]checkpoint.VMState, len(vms)),
+		Hosts:         make([]checkpoint.HostState, len(hosts)),
+		Shards:        make([]checkpoint.ShardState, 0, len(r.shards)),
 	}
-	for _, v := range r.cluster.VMs() {
-		vs := checkpoint.VMState{ID: int32(v.ID), Migrations: int32(v.Migrations())}
+	size := 0
+	for _, v := range vms {
+		size += v.Model.EncodedLen()
+	}
+	arena := make([]byte, 0, size)
+	for i, v := range vms {
+		vs := &st.VMs[i]
+		vs.ID, vs.Migrations = int32(v.ID), int32(v.Migrations())
 		if vr := r.vms[v.Slot()]; vr.hasTimer {
 			vs.HasTimer = true
 			vs.TimerAt = int64(vr.timerAt)
 		}
-		data, err := v.Model.MarshalBinary()
-		if err != nil {
+		start := len(arena)
+		var err error
+		if arena, err = v.Model.AppendBinary(arena); err != nil {
 			panic(fmt.Sprintf("dcsim: VM %d model checkpoint: %v", v.ID, err))
 		}
-		vs.Model = data
-		st.VMs = append(st.VMs, vs)
+		vs.Model = arena[start:len(arena):len(arena)]
 	}
-	for i, h := range r.cluster.Hosts() {
+	// Every resident is a registry VM, so the hosts' resident lists fit
+	// in one slice of len(vms) IDs.
+	ids := make([]int32, 0, len(vms))
+	for i, h := range hosts {
 		rt := r.hosts[i]
 		ms := rt.machine.CheckpointState()
 		mon := rt.monitor.CheckpointState()
-		hs := checkpoint.HostState{
+		hs := &st.Hosts[i]
+		*hs = checkpoint.HostState{
 			ID:           int32(h.ID),
 			PState:       uint8(ms.State),
 			Since:        ms.Since,
@@ -64,14 +82,17 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 			VetoBusy:     mon.VetoBusy,
 			ResumedAt:    int64(rt.resumedAt),
 		}
-		for _, v := range h.VMs() {
-			hs.VMIDs = append(hs.VMIDs, int32(v.ID))
+		if resident := h.VMs(); len(resident) > 0 {
+			start := len(ids)
+			for _, v := range resident {
+				ids = append(ids, int32(v.ID))
+			}
+			hs.VMIDs = ids[start:len(ids):len(ids)]
 		}
 		if at, ok := rt.sh.wm.PendingWakeDate(netsim.MAC(h.ID)); ok {
 			hs.HasWake = true
 			hs.WakeAt = int64(at)
 		}
-		st.Hosts = append(st.Hosts, hs)
 	}
 	for _, sh := range r.shards {
 		scheduled, packet := sh.wm.Stats()

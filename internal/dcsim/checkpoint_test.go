@@ -1,13 +1,18 @@
 package dcsim
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
 	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/cluster"
+	"drowsydc/internal/core"
 	"drowsydc/internal/drowsy"
 	"drowsydc/internal/neat"
 	"drowsydc/internal/netsim"
@@ -216,6 +221,66 @@ func TestResumeRoundTripsThroughCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalResults(t, "re-encoded resume", want, r2.Run())
+}
+
+// TestResumeVersion2Spill pins resuming a spill from a build whose
+// model codec wrote version 2: testdata/resume-v2.drcp is
+// checkpointFixture(6, false) under production drowsy, captured at hour
+// 96 by that build. Re-encoding its models as version 3 gives exactly
+// this build's capture at hour 96; the resumed run's Result deep-equals
+// the straight-through run's, and its capture at hour 144 is
+// byte-identical to the straight-through one (capture → restore →
+// capture).
+func TestResumeVersion2Spill(t *testing.T) {
+	blob, err := os.ReadFile("testdata/resume-v2.drcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := func() cluster.Policy { return drowsy.New(drowsy.Options{}) }
+	want, captures := map[simtime.Hour][]byte{}, map[simtime.Hour][]byte{}
+	c, cfg := checkpointFixture(6, false)
+	cfg.Checkpoint = func(hr simtime.Hour, data []byte) { want[hr] = data }
+	straight := NewRunner(cfg, c, pol()).Run()
+
+	reencoded, err := checkpoint.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range reencoded.VMs {
+		vs := &reencoded.VMs[i]
+		if v := binary.LittleEndian.Uint32(vs.Model[4:]); v != 2 {
+			t.Fatalf("VM %d model is version %d, want 2", vs.ID, v)
+		}
+		var m core.Model
+		if err := m.UnmarshalBinary(vs.Model); err != nil {
+			t.Fatal(err)
+		}
+		if vs.Model, err = m.AppendBinary(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(checkpoint.Encode(reencoded), want[96]) {
+		t.Fatal("the version-2 spill with its models re-encoded differs from the hour-96 capture")
+	}
+
+	c2, cfg2 := checkpointFixture(6, false)
+	cfg2.Checkpoint = func(hr simtime.Hour, data []byte) { captures[hr] = data }
+	r2, err := ResumeRunner(cfg2, c2, pol(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r2.Run()
+	requireIdenticalResults(t, "resume@96", straight, got)
+	if !reflect.DeepEqual(straight, got) {
+		t.Fatal("resume@96: Result differs from the straight-through run")
+	}
+	if len(captures) != 1 || !bytes.Equal(captures[144], want[144]) {
+		t.Fatal("the resumed run's capture at hour 144 differs from the straight-through one")
+	}
 }
 
 // TestResumeRejections: a checkpoint must only restore into the exact

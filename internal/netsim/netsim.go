@@ -107,7 +107,8 @@ type Switch struct {
 	wol   func(MAC)
 }
 
-// suspended is one host's entry: its VM list while mapped.
+// suspended is one host's entry: its VM list while mapped. An unmapped
+// host keeps its last list's storage, emptied, for its next suspension.
 type suspended struct {
 	vms    []VMID
 	mapped bool
@@ -126,17 +127,19 @@ func NewSwitch(wol func(MAC), vms *Table) *Switch {
 }
 
 // MapSuspended records that host mac was suspended while hosting vms.
+// It copies vms into the host's own list, which reuses the storage of
+// the host's previous one.
 func (s *Switch) MapSuspended(mac MAC, vms []VMID) {
 	if mac < 0 {
 		panic(fmt.Sprintf("netsim: negative MAC %d", mac))
 	}
-	if s.hosts.Get(mac).mapped {
+	h := s.hosts.At(mac)
+	if h.mapped {
 		panic(fmt.Sprintf("netsim: host %d suspended twice without resume", mac))
 	}
-	list := append([]VMID(nil), vms...)
-	*s.hosts.At(mac) = suspended{vms: list, mapped: true}
+	h.vms, h.mapped = append(h.vms, vms...), true
 	t := s.vms
-	for _, vm := range list {
+	for _, vm := range h.vms {
 		if int(vm) >= len(t.macs) {
 			t.macs = append(t.macs, make([]MAC, int(vm)+1-len(t.macs))...)
 		}
@@ -154,14 +157,17 @@ func (s *Switch) UnmapHost(mac MAC) {
 	for _, vm := range h.vms {
 		s.vms.macs[vm] = 0
 	}
-	*s.hosts.At(mac) = suspended{}
+	*s.hosts.At(mac) = suspended{vms: h.vms[:0]}
 }
 
 // HostVMs returns the VM list of suspended host mac and whether it is
-// mapped. MapSuspended copied the list in and nothing mutates it after,
-// so callers may keep it but must not modify it.
+// mapped; an empty list, and an unmapped host's, is nil. The list stays
+// valid until the host is mapped again, and callers must not modify it.
 func (s *Switch) HostVMs(mac MAC) ([]VMID, bool) {
 	h := s.hosts.Get(mac)
+	if len(h.vms) == 0 {
+		return nil, h.mapped
+	}
 	return h.vms, h.mapped
 }
 

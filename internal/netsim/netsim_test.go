@@ -152,6 +152,22 @@ func TestMapSuspendedCopiesSlice(t *testing.T) {
 	}
 }
 
+// TestMapUnmapReusesList: a host keeps its VM list's storage across
+// suspensions, so after one warm-up a suspend/resume cycle of a host
+// allocates nothing.
+func TestMapUnmapReusesList(t *testing.T) {
+	s := NewSwitch(func(MAC) {}, NewTable(8))
+	vms := []VMID{1, 2, 3}
+	cycle := func() {
+		s.MapSuspended(4, vms)
+		s.UnmapHost(4)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a map/unmap cycle allocated %v times, want 0", n)
+	}
+}
+
 func TestLookupConsistencyProperty(t *testing.T) {
 	// Property: after arbitrary suspend/resume interleavings every
 	// mapped VM resolves to the host it was last suspended with.

@@ -116,12 +116,13 @@ func (d *durableState) spillPath(hash string, cell int) string {
 
 // planFor builds the per-job checkpoint plan: cells spill their latest
 // checkpoint atomically (tmp+rename, so a crash mid-write can never
-// leave a torn spill), and resume from a spilled blob when one decodes
-// cleanly. A spill that fails to decode is deleted and the cell runs
-// from hour zero — at the server boundary a stale or damaged spill must
-// degrade to recomputation, never block recovery (the scenario layer's
-// strict no-silent-degrade contract still guards explicitly provided
-// blobs).
+// leave a torn spill), counted in drowsyd_spill_bytes_total and timed
+// in drowsyd_spill_seconds, and resume from a spilled blob when one
+// decodes cleanly. A spill that fails to decode is deleted and the cell
+// runs from hour zero — at the server boundary a stale or damaged spill
+// must degrade to recomputation, never block recovery (the scenario
+// layer's strict no-silent-degrade contract still guards explicitly
+// provided blobs).
 func (s *Server) planFor(key string) *scenario.CheckpointPlan {
 	if s.durable == nil {
 		return nil
@@ -131,6 +132,7 @@ func (s *Server) planFor(key string) *scenario.CheckpointPlan {
 	return &scenario.CheckpointPlan{
 		EveryHours: d.cadence,
 		Sink: func(cell int, policy string, hr simtime.Hour, data []byte) {
+			start := time.Now()
 			path := d.spillPath(hash, cell)
 			tmp := path + ".tmp"
 			if err := writeFileSync(tmp, data); err != nil {
@@ -139,7 +141,10 @@ func (s *Server) planFor(key string) *scenario.CheckpointPlan {
 			}
 			if err := os.Rename(tmp, path); err != nil {
 				s.spillErrors.Add(1)
+				return
 			}
+			s.spillSeconds.Observe(time.Since(start).Seconds())
+			s.spillBytes.Add(uint64(len(data)))
 		},
 		Resume: func(cell int, policy string) []byte {
 			data, err := os.ReadFile(d.spillPath(hash, cell))

@@ -214,6 +214,33 @@ func TestJournalSurvivesRunningDaemon(t *testing.T) {
 	}
 }
 
+// TestSpillMetrics: the spills of a spec longer than the checkpoint
+// cadence move drowsyd_spill_bytes_total and drowsyd_spill_seconds,
+// and a spec too short to reach the cadence moves neither.
+func TestSpillMetrics(t *testing.T) {
+	s := mustNew(t, Config{Version: "test", StateDir: t.TempDir(), CheckpointEveryHours: 48})
+	t.Cleanup(func() { s.Close() }) //nolint:errcheck
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	waitReady(t, ts)
+	spills := func() (uint64, uint64) {
+		return scrapeCounter(t, ts, "drowsyd_spill_bytes_total"), scrapeCounter(t, ts, "drowsyd_spill_seconds_count")
+	}
+
+	if status, _, _ := post(t, ts, "/v1/run", `{"family":"always-on-mix","hosts":6,"horizon_days":1}`); status != http.StatusOK {
+		t.Fatalf("short run status %d", status)
+	}
+	if b, n := spills(); b != 0 || n != 0 {
+		t.Fatalf("a 24-hour run at a 48-hour cadence spilled %d bytes in %d spills", b, n)
+	}
+	if status, _, _ := post(t, ts, "/v1/run", durableSpec); status != http.StatusOK {
+		t.Fatalf("run status %d", status)
+	}
+	if b, n := spills(); b == 0 || n == 0 {
+		t.Fatalf("a 72-hour run at a 48-hour cadence spilled %d bytes in %d spills", b, n)
+	}
+}
+
 // specFor derives a distinct run spec per hosts count.
 func specFor(hosts int) string {
 	return `{"family":"always-on-mix","hosts":` + strconv.Itoa(hosts) + `,"horizon_days":3}`

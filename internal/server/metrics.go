@@ -71,6 +71,10 @@ func (s *Server) initMetrics() {
 	r.CounterFunc("drowsyd_spill_errors_total", "",
 		"Checkpoint-spill and journal-maintenance failures (non-fatal).",
 		func() uint64 { return s.spillErrors.Load() })
+	s.spillBytes = r.Counter("drowsyd_spill_bytes_total", "",
+		"Bytes of the checkpoint spills that reached the state dir.")
+	s.spillSeconds = r.Histogram("drowsyd_spill_seconds", "",
+		"Wall time of each checkpoint spill: write, fsync and rename.", latencyBuckets)
 	r.GaugeFunc("drowsyd_ready", "",
 		"1 once journal replay settled and until draining starts, else 0.",
 		func() float64 {

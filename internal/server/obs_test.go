@@ -77,24 +77,25 @@ func TestServeMetrics(t *testing.T) {
 	// per-VM timeline memos can move the counter.
 	var before uint64
 	for _, extra := range []string{"", `,"shard_workers":2`} {
-		before = chunkPublishes(t, ts)
+		before = scrapeCounter(t, ts, "drowsydc_trace_chunk_publishes_total")
 		spec := `{"family":"always-on-mix","hosts":6,"horizon_days":7,"resolution":"event"` + extra + `}`
 		if status, _, _ := post(t, ts, "/v1/run", spec); status != 200 {
 			t.Fatalf("event-resolution run status %d", status)
 		}
 		quiesce(t, s)
 	}
-	if after := chunkPublishes(t, ts); after <= before {
+	if after := scrapeCounter(t, ts, "drowsydc_trace_chunk_publishes_total"); after <= before {
 		t.Errorf("event-resolution rerun left drowsydc_trace_chunk_publishes_total at %d", after)
 	}
 }
 
-// chunkPublishes scrapes the memo chunk publication counter.
-func chunkPublishes(t *testing.T, ts *httptest.Server) uint64 {
+// scrapeCounter returns the value of the unlabeled integer sample name
+// on /metrics.
+func scrapeCounter(t *testing.T, ts *httptest.Server, name string) uint64 {
 	t.Helper()
 	_, body := get(t, ts, "/metrics")
 	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "drowsydc_trace_chunk_publishes_total "); ok {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
 			n, err := strconv.ParseUint(v, 10, 64)
 			if err != nil {
 				t.Fatal(err)
@@ -102,7 +103,7 @@ func chunkPublishes(t *testing.T, ts *httptest.Server) uint64 {
 			return n
 		}
 	}
-	t.Fatal("no drowsydc_trace_chunk_publishes_total sample")
+	t.Fatalf("no %s sample", name)
 	return 0
 }
 

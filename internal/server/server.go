@@ -89,6 +89,12 @@ type Server struct {
 	quarMu      sync.Mutex
 	strikes     map[string]int
 
+	// spillBytes and spillSeconds count the checkpoint spills that
+	// reached disk: bytes written, and each spill's write, fsync and
+	// rename wall time.
+	spillBytes   *obs.Counter
+	spillSeconds *obs.Histogram
+
 	// Test seams: the production wiring points at scenario.RunFamily /
 	// scenario.RunFamilySweep; concurrency tests substitute gated stubs
 	// so single-flight behaviour is assertable without timing games.
