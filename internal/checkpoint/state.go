@@ -7,12 +7,12 @@
 // straight-through run at any shard-worker count. The state captured
 // here is therefore exhaustive over everything behavior-visible at an
 // hour boundary — cluster population order, placements, per-VM idleness
-// models (the core codec's sparse form), per-VM pending OS timers,
+// models (the core codec's sparse form), the VMs' hr-timers,
 // power-machine energy ledgers, suspend monitors, scheduled waking
 // dates, per-shard latency multisets and wake counters, per-MAC WoL
 // attempt serials and cluster migration ledgers — and deliberately
 // excludes pure caches that rebuild bit-identically (trace memos, IP
-// memos, the oasis idle index, engine event sequence numbers, OS pids).
+// memos, the oasis idle index, engine event sequence numbers).
 // No policy state is captured: the one hour of host utilization Neat's
 // overload detector reads is rebuilt on resume by replaying the hourly
 // recorder's last call.
@@ -74,11 +74,10 @@ type VMState struct {
 	ID int32
 	// Migrations is the per-VM migration counter.
 	Migrations int32
-	// HasTimer and TimerAt carry the VM's registered hour-timer on its
-	// current host (the runtime's timerAt entry). TimerAt may be in the
-	// past relative to the boundary — the runtime keeps expired entries
-	// in its map and the restore must reproduce that, re-queueing only
-	// timers still pending in the OS timer heap.
+	// HasTimer and TimerAt carry the VM's hr-timer (the runtime's
+	// per-VM entry). TimerAt may lie at or before the boundary: the
+	// runtime keeps an expired date until a refresh replaces it, and the
+	// restore reproduces the entry as is.
 	HasTimer bool
 	TimerAt  int64
 	// Model is the VM's idleness model in core codec form.
@@ -90,7 +89,7 @@ type VMState struct {
 type HostState struct {
 	ID int32
 	// VMIDs is the host's resident VMs in host-local order (the order
-	// utilization sums and OS registrations iterate in).
+	// utilization sums and the hr-timer refresh iterate in).
 	VMIDs []int32
 
 	// Power machine (power.MachineState).
@@ -107,8 +106,8 @@ type HostState struct {
 
 	// Suspend monitor (suspend.MonitorState). The simulation runtime
 	// never vetoes a check, so a captured VetoGrace and VetoBusy read
-	// 0: it checks at the grace bound, and no VM process is running
-	// at a check (scenario's TestSuspendChecksNeverVeto).
+	// 0: it checks at the grace bound, and its hosts always report idle
+	// (scenario's TestSuspendChecksNeverVeto).
 	GraceUntil   int64
 	MonSuspended bool
 	Decisions    uint64

@@ -237,7 +237,6 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 	if len(st.Hosts) != len(c.Hosts()) {
 		return nil, fmt.Errorf("dcsim: checkpoint holds %d hosts, the cluster has %d", len(st.Hosts), len(c.Hosts()))
 	}
-	prevStart := (hr - 1).Start()
 	for i, h := range c.Hosts() {
 		hs := &st.Hosts[i]
 		if int(hs.ID) != h.ID {
@@ -255,19 +254,13 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 			if err := c.Place(v, h); err != nil {
 				return nil, fmt.Errorf("dcsim: restore placement of VM %d on host %d: %w", id, hs.ID, err)
 			}
-			r.attach(v, rt)
-			// The VM's registered hour-timer, when present, lives on its
-			// current host. Only timers still pending in the OS heap are
-			// re-queued: the runtime's last PopExpired ran at the previous
-			// boundary, so anything at or before it was already popped
-			// (but stays in the runtime's entry, which refreshes stale
-			// dates).
+			// The VM's hr-timer, expired or not, goes back into its
+			// entry: the hour's refresh keeps or replaces it exactly as
+			// the straight-through run's did, and derives the host's
+			// waking date from the entries.
 			if vs := vsOf[int(id)]; vs.HasTimer {
 				vr := &r.vms[v.Slot()]
 				vr.timerAt, vr.hasTimer = simtime.Time(vs.TimerAt), true
-				if vr.timerAt > prevStart {
-					rt.os.RegisterTimer(vr.pid, vr.timerAt)
-				}
 			}
 		}
 		if err := rt.machine.RestoreState(power.MachineState{
@@ -310,7 +303,7 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		}
 	}
 	// Every serialized timer must have found its VM placed: the runtime
-	// only keeps timers for attached VMs.
+	// only keeps timers for placed VMs.
 	for i := range st.VMs {
 		if st.VMs[i].HasTimer && ordered[i].Host() == nil {
 			return nil, fmt.Errorf("dcsim: VM %d has a timer but no host", st.VMs[i].ID)

@@ -1,9 +1,9 @@
 // Package dcsim is the datacenter simulation runtime: it wires the
-// placement domain (internal/cluster) to the power model, the simulated
-// host OS, the suspending module and the waking module, and plays a
-// workload hour by hour under a consolidation policy. It is the
-// equivalent of the paper's two evaluation vehicles at once — the
-// OpenStack/KVM testbed of §VI-A and the CloudSim simulation of §VI-B.
+// placement domain (internal/cluster) to the power model, the
+// suspending module and the waking module, and plays a workload hour
+// by hour under a consolidation policy. It is the equivalent of the
+// paper's two evaluation vehicles at once — the OpenStack/KVM testbed
+// of §VI-A and the CloudSim simulation of §VI-B.
 //
 // # Time model
 //
@@ -14,10 +14,11 @@
 // granularity far below what suspension could exploit), while an hour
 // below the floor is an idle hour. A host is therefore suspendable
 // exactly during its fully idle hours, subject to the suspending
-// module's checks (grace time, decision overhead, OS idleness). Waking
-// happens through the waking module: ahead of time for scheduled dates
-// (timer-driven VMs), or on the first inbound request of an active hour
-// (request-driven VMs), which then pays the resume latency.
+// module's checks (grace time, decision overhead). Waking happens
+// through the waking module: ahead of time for scheduled dates (the
+// earliest hr-timer of the host's timer-driven VMs, kept per VM and
+// refreshed at each hour start), or on the first inbound request of an
+// active hour (request-driven VMs), which then pays the resume latency.
 //
 // Config.Resolution refines this: at ResolutionEvent, active hours are
 // deterministically expanded into within-hour request bursts and idle
@@ -43,7 +44,6 @@ import (
 	"drowsydc/internal/core"
 	"drowsydc/internal/metrics"
 	"drowsydc/internal/netsim"
-	"drowsydc/internal/ossim"
 	"drowsydc/internal/par"
 	"drowsydc/internal/power"
 	"drowsydc/internal/sim"
@@ -243,7 +243,6 @@ type hostRT struct {
 	host    *cluster.Host
 	profile power.Profile
 	machine *power.Machine
-	os      *ossim.OS
 	monitor *suspend.Monitor
 	// sh is the shard owning this host: every engine/waking-module/
 	// latency interaction of the host routes through it, so the host
@@ -259,20 +258,28 @@ type hostRT struct {
 	lastWakeDelay float64
 	// resumedAt is when the host last became fully active.
 	resumedAt simtime.Time
+	// wakeAt is the earliest hr-timer of the host's timer-driven
+	// residents, valid when hasWake. The hour's refresh in playHour
+	// sets it before any suspension check of the hour reads it.
+	wakeAt  simtime.Time
+	hasWake bool
 }
+
+// Idle implements suspend.Host: the runtime checks a host only in idle
+// hours and idle gaps, where none of its VMs is running.
+func (rt *hostRT) Idle() bool { return true }
+
+// NextWake implements suspend.Host: the waking date the hour's refresh
+// computed.
+func (rt *hostRT) NextWake() (simtime.Time, bool) { return rt.wakeAt, rt.hasWake }
 
 // vmRT is the runtime's per-VM state, indexed by the slot NewRunner
 // stamps on each VM. A VM lives on one host at a time, so its entry is
 // written only by the shard owning that host or by the serial phases.
 type vmRT struct {
-	// proc is the name of the VM's process on a host OS, built once.
-	proc string
-	// pid is the VM's process on its current host's OS, 0 while the VM
-	// is detached.
-	pid int
-	// timerAt is the VM's registered hr-timer expiry, valid when
-	// hasTimer. An expired date stays until the next refresh replaces
-	// it: checkpoints carry it as is.
+	// timerAt is the VM's hr-timer expiry, valid when hasTimer. An
+	// expired date stays until the next refresh replaces it:
+	// checkpoints carry it as is. A migration drops the timer.
 	timerAt  simtime.Time
 	hasTimer bool
 }
@@ -464,7 +471,6 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	for i, v := range r.allVMs {
 		v.SetSlot(i)
 		ids[i] = v.ID
-		r.vms[i].proc = "qemu-" + v.Name
 	}
 	sort.Ints(ids)
 	for i := 1; i < len(ids); i++ {
@@ -537,9 +543,6 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 	}
 	r.util = make([]float64, len(c.Hosts()))
 	for i, h := range c.Hosts() {
-		os := ossim.New()
-		os.Blacklist("monitord", "watchdog")
-		os.Spawn("monitord", ossim.StateRunning)
 		profile := cfg.Profile
 		if p, ok := cfg.HostProfiles[h.ID]; ok {
 			profile = p
@@ -549,13 +552,12 @@ func NewRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy) *Runner {
 			host:    h,
 			profile: profile,
 			machine: power.NewMachine(profile, float64(start)),
-			os:      os,
-			monitor: suspend.NewMonitor(suspend.Config{
-				UseGrace: cfg.UseGrace,
-				MaxGrace: simtime.Duration(math.Round(cfg.MaxGraceSeconds)),
-			}, os),
-			sh: sh,
+			sh:      sh,
 		}
+		rt.monitor = suspend.NewMonitor(suspend.Config{
+			UseGrace: cfg.UseGrace,
+			MaxGrace: simtime.Duration(math.Round(cfg.MaxGraceSeconds)),
+		}, rt)
 		rt.monitor.OnResume(start, 0.5)
 		rt.resumedAt = start
 		sh.hosts = append(sh.hosts, rt)
@@ -661,11 +663,6 @@ func (r *Runner) Run() *Result {
 		// Initial placement of unplaced VMs through the policy. A
 		// restored runner skips it: placements came from the checkpoint.
 		for _, v := range c.VMs() {
-			if v.Host() != nil {
-				r.attach(v, r.hosts[v.Host().Pos()])
-			}
-		}
-		for _, v := range c.VMs() {
 			if v.Host() == nil {
 				h, err := r.policy.PlaceNew(c, v, r.cfg.StartHour)
 				if err != nil {
@@ -674,7 +671,6 @@ func (r *Runner) Run() *Result {
 				if err := c.Place(v, h); err != nil {
 					panic(err)
 				}
-				r.attach(v, r.hosts[h.Pos()])
 			}
 		}
 	}
@@ -735,7 +731,6 @@ func (r *Runner) Run() *Result {
 				panic(err)
 			}
 			r.wakeForManagement(r.hosts[h.Pos()])
-			r.attach(a.VM, r.hosts[h.Pos()])
 		}
 		r.pending = rest
 
@@ -745,9 +740,6 @@ func (r *Runner) Run() *Result {
 			if d.At != hr {
 				remaining = append(remaining, d)
 				continue
-			}
-			if h := d.VM.Host(); h != nil {
-				r.detach(d.VM, r.hosts[h.Pos()])
 			}
 			c.Remove(d.VM)
 		}
@@ -845,20 +837,6 @@ func (r *Runner) assignmentsAll() []int {
 	return out
 }
 
-// attach creates the VM's process on a host OS.
-func (r *Runner) attach(v *cluster.VM, rt *hostRT) {
-	vr := &r.vms[v.Slot()]
-	vr.pid = rt.os.Spawn(vr.proc, ossim.StateSleeping)
-}
-
-// detach kills the VM's process on its old host OS, with its hr-timer.
-func (r *Runner) detach(v *cluster.VM, rt *hostRT) {
-	if vr := &r.vms[v.Slot()]; vr.pid != 0 {
-		rt.os.Kill(vr.pid)
-		vr.pid, vr.hasTimer = 0, false
-	}
-}
-
 // snapshotPlacement records each VM's host (nil = unplaced) before a
 // rebalance, in cluster VM order: a policy's Rebalance only moves VMs,
 // so the registry keeps its order and positions pair the two sides of
@@ -871,8 +849,9 @@ func (r *Runner) snapshotPlacement() []*cluster.Host {
 	return r.snapBuf
 }
 
-// applyPlacementChanges moves VM processes between host OSes after a
-// rebalance changed placements. Hosts participating in a migration are
+// applyPlacementChanges follows the placements a rebalance changed: a
+// VM that leaves a host drops its hr-timer, which the next refresh on
+// its new host registers afresh. Hosts participating in a migration are
 // resumed first: live migration needs both endpoints powered (the
 // paper's manager wakes a drowsy server before migrating), and this also
 // retires the switch's stale VM→MAC mappings for those hosts.
@@ -889,11 +868,10 @@ func (r *Runner) applyPlacementChanges(before []*cluster.Host) {
 		}
 		if prev != nil {
 			r.wakeForManagement(r.hosts[prev.Pos()])
-			r.detach(v, r.hosts[prev.Pos()])
+			r.vms[v.Slot()].hasTimer = false
 		}
 		if cur != nil {
 			r.wakeForManagement(r.hosts[cur.Pos()])
-			r.attach(v, r.hosts[cur.Pos()])
 		}
 	}
 }
@@ -970,17 +948,23 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 		util = 1
 	}
 
-	// Refresh hr-timers of timer-driven VMs.
-	rt.os.PopExpired(t0)
-	for _, v := range h.VMs() {
+	// Refresh the hr-timers of timer-driven VMs: a timer still pending
+	// after t0 is kept, an expired or missing one is registered at the
+	// VM's next active hour (always after t0). The host's waking date
+	// is the earliest timer kept or registered; an expired one that
+	// finds no next active hour stays in the VM's entry but no longer
+	// counts. Every suspension check of the hour runs after this.
+	rt.hasWake = false
+	for _, v := range vms {
 		if !v.TimerDriven {
 			continue
 		}
 		vr := &r.vms[v.Slot()]
-		if vr.hasTimer && vr.timerAt > t0 {
-			continue
-		}
-		if next, ok := r.nextActiveHour(v, hr); ok {
+		if !vr.hasTimer || vr.timerAt <= t0 {
+			next, ok := r.nextActiveHour(v, hr)
+			if !ok {
+				continue
+			}
 			at := next.Start()
 			// At event resolution the VM's work begins at its first
 			// within-hour burst, not the hour boundary: an hr-timer at
@@ -993,8 +977,10 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 					at = at.Add(simtime.Duration(bs[0].Start))
 				}
 			}
-			rt.os.RegisterTimer(vr.pid, at)
 			vr.timerAt, vr.hasTimer = at, true
+		}
+		if !rt.hasWake || vr.timerAt < rt.wakeAt {
+			rt.wakeAt, rt.hasWake = vr.timerAt, true
 		}
 	}
 
@@ -1025,9 +1011,9 @@ func (r *Runner) playHour(rt *hostRT, hr simtime.Hour, t0 simtime.Time) {
 			rt.packetWoken = first != nil && !first.TimerDriven
 		}
 		// Active hour: utilization applies from the (possibly delayed)
-		// resume instant to the end of the hour. The VMs' processes stay
-		// sleeping in the OS model: no suspension check runs inside a
-		// busy hour, so nothing could observe them running.
+		// resume instant to the end of the hour. No suspension check
+		// runs inside a busy hour, which is why hostRT.Idle can always
+		// report an idle host.
 		wakeEnd := rt.resumedAt
 		if wakeEnd < t0 {
 			wakeEnd = t0

@@ -3,6 +3,7 @@ package dcsim
 import (
 	"testing"
 
+	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/neat"
 	"drowsydc/internal/simtime"
@@ -100,5 +101,42 @@ func TestEventTimerWakeFiresAheadOfBurst(t *testing.T) {
 	if !(ev.EnergyKWh < hr.EnergyKWh) {
 		t.Fatalf("event energy %.4f kWh should undercut hourly %.4f kWh",
 			ev.EnergyKWh, hr.EnergyKWh)
+	}
+}
+
+// TestTimerRefreshAtExpiryBoundary pins the refresh boundary: an
+// hr-timer expiring exactly at an hour start has expired at that hour,
+// so the hour's refresh replaces it with the VM's next active hour.
+// The backup VM's timer for its 02:00 run (hour 26) must read hour 50
+// once hour 26 is played, in the runtime's entry and in the checkpoint
+// of the next boundary.
+func TestTimerRefreshAtExpiryBoundary(t *testing.T) {
+	const wakeHour, nextHour = simtime.Hour(26), simtime.Hour(50)
+	c, v := backupCluster(0)
+	var r *Runner
+	seen := map[simtime.Hour][2]simtime.Time{} // boundary → entry, checkpoint
+	r = NewRunner(Config{StartHour: 3, Hours: 25, EnableSuspend: true, UseGrace: true,
+		CheckpointEveryHours: 1,
+		Checkpoint: func(hr simtime.Hour, data []byte) {
+			if hr != wakeHour && hr != wakeHour+1 {
+				return
+			}
+			st, err := checkpoint.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vr := r.vms[v.Slot()]
+			if len(st.VMs) != 1 || !st.VMs[0].HasTimer || !vr.hasTimer {
+				t.Fatalf("boundary %d: no hr-timer held", hr)
+			}
+			seen[hr] = [2]simtime.Time{vr.timerAt, simtime.Time(st.VMs[0].TimerAt)}
+		}}, c, neat.New())
+	r.Run()
+	if got, want := seen[wakeHour], wakeHour.Start(); got != [2]simtime.Time{want, want} {
+		t.Fatalf("before hour %d: entry and checkpoint timers %v, want both %d", wakeHour, got, want)
+	}
+	if got, want := seen[wakeHour+1], nextHour.Start(); got != [2]simtime.Time{want, want} {
+		t.Fatalf("after hour %d: entry and checkpoint timers %v, want both %d (hour %d)",
+			wakeHour, got, want, nextHour)
 	}
 }

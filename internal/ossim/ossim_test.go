@@ -1,34 +1,12 @@
 package ossim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"drowsydc/internal/simtime"
 )
-
-func TestSpawnKillProcessTable(t *testing.T) {
-	o := New()
-	a := o.Spawn("apache", StateRunning)
-	b := o.Spawn("sshd", StateSleeping)
-	if o.NumProcesses() != 2 {
-		t.Fatalf("procs = %d", o.NumProcesses())
-	}
-	pa, okA := o.Process(a)
-	pb, okB := o.Process(b)
-	if !okA || !okB || pa.Name != "apache" || pb.State != StateSleeping {
-		t.Fatal("process fields wrong")
-	}
-	o.Kill(a)
-	if _, ok := o.Process(a); o.NumProcesses() != 1 || ok {
-		t.Fatal("kill failed")
-	}
-	o.Kill(a) // idempotent
-	snap := o.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "sshd" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
 
 func TestIdleRules(t *testing.T) {
 	o := New()
@@ -91,66 +69,20 @@ func TestNextWakeNoValidTimers(t *testing.T) {
 	}
 }
 
-func TestPopExpiredOrder(t *testing.T) {
-	o := New()
-	a := o.Spawn("a", StateSleeping)
-	b := o.Spawn("b", StateSleeping)
-	c := o.Spawn("c", StateSleeping)
-	o.RegisterTimer(a, 300)
-	o.RegisterTimer(b, 100)
-	o.RegisterTimer(c, 200)
-	pids := o.PopExpired(250)
-	if len(pids) != 2 || pids[0] != b || pids[1] != c {
-		t.Fatalf("expired = %v", pids)
-	}
-	if o.NumTimers() != 1 {
-		t.Fatalf("timers left = %d", o.NumTimers())
-	}
-	if rest := o.PopExpired(1000); len(rest) != 1 || rest[0] != a {
-		t.Fatalf("rest = %v", rest)
-	}
-}
-
-func TestKillRemovesTimers(t *testing.T) {
-	o := New()
-	a := o.Spawn("a", StateSleeping)
-	b := o.Spawn("b", StateSleeping)
-	o.RegisterTimer(a, 100)
-	o.RegisterTimer(b, 200)
-	o.RegisterTimer(a, 300)
-	o.Kill(a)
-	if o.NumTimers() != 1 {
-		t.Fatalf("timers = %d, want 1", o.NumTimers())
-	}
-	at, ok := o.NextWake()
-	if !ok || at != 200 {
-		t.Fatalf("NextWake = %v,%v", at, ok)
-	}
-}
-
 func TestTimerOrderProperty(t *testing.T) {
-	// Property: PopExpired returns timers in non-decreasing expiry
-	// order regardless of registration order.
+	// Property: NextWake returns the earliest timer registered so far,
+	// regardless of registration order.
 	f := func(raw []uint16) bool {
 		o := New()
 		p := o.Spawn("p", StateSleeping)
-		for _, r := range raw {
-			o.RegisterTimer(p, simtime.Time(r))
+		if _, ok := o.NextWake(); ok {
+			return false
 		}
-		prev := simtime.Time(-1)
-		for o.NumTimers() > 0 {
-			at, ok := o.NextWake()
-			if !ok {
+		for i, r := range raw {
+			o.RegisterTimer(p, simtime.Time(r))
+			if at, ok := o.NextWake(); !ok || at != simtime.Time(slices.Min(raw[:i+1])) {
 				return false
 			}
-			if at < prev {
-				return false
-			}
-			pids := o.PopExpired(at)
-			if len(pids) == 0 {
-				return false
-			}
-			prev = at
 		}
 		return true
 	}
@@ -173,13 +105,6 @@ func TestPanicsOnUnknownPID(t *testing.T) {
 			}()
 			fn(New())
 		}()
-	}
-}
-
-func TestProcStateString(t *testing.T) {
-	if StateSleeping.String() != "sleeping" || StateRunning.String() != "running" ||
-		StateBlockedIO.String() != "blocked-io" || ProcState(9).String() == "" {
-		t.Fatal("state names wrong")
 	}
 }
 

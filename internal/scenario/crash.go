@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/simtime"
 )
@@ -34,13 +35,12 @@ type CheckpointPlan struct {
 	// slice is not reused — the sink may retain it.
 	Sink func(cell int, policy string, hr simtime.Hour, data []byte)
 	// Resume, when non-nil, is consulted once per cell before it
-	// starts: a non-nil blob resumes the cell from that serialized
-	// checkpoint (decode + dcsim.ResumeRunner) instead of running from
-	// hour zero; nil runs the cell fresh. A blob that fails to decode
-	// or to validate against the cell's configuration fails the run
-	// with a descriptive error — a checkpoint never silently degrades
-	// to a from-scratch run.
-	Resume func(cell int, policy string) []byte
+	// starts: a non-nil state (a decoded Sink blob) resumes the cell
+	// through dcsim.ResumeRunner instead of running from hour zero; nil
+	// runs the cell fresh. A state that fails to validate against the
+	// cell's configuration fails the run with a descriptive error — a
+	// checkpoint never silently degrades to a from-scratch run.
+	Resume func(cell int, policy string) *checkpoint.RunState
 }
 
 // every returns the effective cadence for dcsim.Config (nil plan =

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/simtime"
 )
@@ -40,6 +42,32 @@ func captureBlobs(t *testing.T, family string, p Params, every int, opt Options)
 	return rep, blobs
 }
 
+// statesAt decodes every cell's blob captured at hour hr, so a resumed
+// run gets states no other run has touched.
+func statesAt(t *testing.T, blobs map[[2]int][]byte, hr int) map[int]*checkpoint.RunState {
+	t.Helper()
+	states := map[int]*checkpoint.RunState{}
+	for k, b := range blobs {
+		if k[1] != hr {
+			continue
+		}
+		st, err := checkpoint.Decode(b)
+		if err != nil {
+			t.Fatalf("cell %d hour %d: %v", k[0], hr, err)
+		}
+		states[k[0]] = st
+	}
+	return states
+}
+
+// resumeFrom is a CheckpointPlan that resumes every cell from its state
+// in states.
+func resumeFrom(states map[int]*checkpoint.RunState) *CheckpointPlan {
+	return &CheckpointPlan{
+		Resume: func(cell int, policy string) *checkpoint.RunState { return states[cell] },
+	}
+}
+
 // TestScenarioResumeByteIdentical is the tentpole gate at the report
 // level: a family run resumed from any captured checkpoint emits report
 // JSON byte-identical to the straight-through run, at shard-worker
@@ -59,12 +87,8 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 				p := crashParams
 				p.ShardWorkers = workers
 				rep, err := RunFamily("always-on-mix", p, Options{
-					Workers: 2,
-					Checkpoint: &CheckpointPlan{
-						Resume: func(cell int, policy string) []byte {
-							return blobs[[2]int{cell, hr}]
-						},
-					},
+					Workers:    2,
+					Checkpoint: resumeFrom(statesAt(t, blobs, hr)),
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -74,6 +98,47 @@ func TestScenarioResumeByteIdentical(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestScenarioResumeTimerDriven: hr-timers survive a resume.
+// bursty-batch's VMs are timer-driven, so its checkpoints hold pending
+// and expired hr-timers, and each host's waking date is rebuilt from
+// them. The run resumed from every captured boundary, at hourly and
+// event resolution, must emit the straight-through report byte for
+// byte.
+func TestScenarioResumeTimerDriven(t *testing.T) {
+	const every, horizon = 6, 7 * 24
+	for _, res := range []string{"hourly", "event"} {
+		t.Run(res, func(t *testing.T) {
+			p := Params{Hosts: 16, HorizonHours: horizon, Resolution: res}
+			want, blobs := captureBlobs(t, "bursty-batch", p, every, Options{Workers: 2})
+			wantJSON := reportJSON(t, want)
+			timers := 0
+			for hr := every; hr < horizon; hr += every {
+				states := statesAt(t, blobs, hr)
+				if len(states) != len(DefaultPolicies()) {
+					t.Fatalf("hour %d: %d states, want one per cell", hr, len(states))
+				}
+				for _, st := range states {
+					for _, vs := range st.VMs {
+						if vs.HasTimer {
+							timers++
+						}
+					}
+				}
+				rep, err := RunFamily("bursty-batch", p, Options{Workers: 2, Checkpoint: resumeFrom(states)})
+				if err != nil {
+					t.Fatalf("hour %d: %v", hr, err)
+				}
+				if !bytes.Equal(wantJSON, reportJSON(t, rep)) {
+					t.Fatalf("run resumed at hour %d differs from the straight-through run", hr)
+				}
+			}
+			if timers == 0 {
+				t.Fatal("no checkpoint holds an hr-timer")
+			}
+		})
 	}
 }
 
@@ -94,18 +159,21 @@ func TestScenarioCheckpointsWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestScenarioResumeBadBlob: a resume source handing back a corrupt
-// blob must fail the run descriptively, never silently rerun from hour
-// zero.
+// TestScenarioResumeBadBlob: a resume source handing a cell a state
+// the cell cannot resume — here, another policy's — must fail the run
+// descriptively, never silently rerun from hour zero.
 func TestScenarioResumeBadBlob(t *testing.T) {
+	_, blobs := captureBlobs(t, "always-on-mix", crashParams, 24, Options{Workers: 1})
+	states := statesAt(t, blobs, 24)
+	cells := len(states)
 	_, err := RunFamily("always-on-mix", crashParams, Options{
 		Workers: 1,
 		Checkpoint: &CheckpointPlan{
-			Resume: func(cell int, policy string) []byte { return []byte("not a checkpoint") },
+			Resume: func(cell int, policy string) *checkpoint.RunState { return states[(cell+1)%cells] },
 		},
 	})
-	if err == nil {
-		t.Fatal("corrupt resume blob accepted")
+	if err == nil || !strings.Contains(err.Error(), "cannot resume policy") {
+		t.Fatalf("another policy's state: error %v, want a refused resume", err)
 	}
 }
 

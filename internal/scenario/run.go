@@ -8,7 +8,6 @@ import (
 	"runtime/debug"
 	"sync/atomic"
 
-	"drowsydc/internal/checkpoint"
 	"drowsydc/internal/dcsim"
 	"drowsydc/internal/metrics"
 	"drowsydc/internal/par"
@@ -270,14 +269,9 @@ func runCell(sc Scenario, cell int, pc PolicyConfig, stores runStores, probe dcs
 	}
 	var runner *dcsim.Runner
 	if opt.Checkpoint != nil && opt.Checkpoint.Resume != nil {
-		if blob := opt.Checkpoint.Resume(cell, pc.Label); blob != nil {
-			st, derr := checkpoint.Decode(blob)
-			if derr != nil {
-				return nil, fmt.Errorf("scenario: cell %d (%s): decode checkpoint: %w", cell, pc.Label, derr)
-			}
-			runner, derr = dcsim.ResumeRunner(cfg, c, pc.newPolicy(), st)
-			if derr != nil {
-				return nil, fmt.Errorf("scenario: cell %d (%s): resume: %w", cell, pc.Label, derr)
+		if st := opt.Checkpoint.Resume(cell, pc.Label); st != nil {
+			if runner, err = dcsim.ResumeRunner(cfg, c, pc.newPolicy(), st); err != nil {
+				return nil, fmt.Errorf("scenario: cell %d (%s): resume: %w", cell, pc.Label, err)
 			}
 		}
 	}

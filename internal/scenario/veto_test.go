@@ -9,10 +9,10 @@ import (
 // TestSuspendChecksNeverVeto pins that the runtime's suspension checks
 // never veto. maybeSuspendUntil checks at the later of the idle instant
 // and the grace bound, so the grace veto cannot fire; and the runtime
-// spawns every VM process sleeping and never marks one running, so the
-// busy veto cannot fire either. Every family runs at 16 hosts for 10
-// days, at hourly and at event resolution, and each cell's checkpoint
-// at hour H−1 carries its hosts' monitor counters. A host stays awake
+// checks only idle hours and idle gaps, so its hosts always report
+// idle and the busy veto cannot fire either. Every family runs at 16
+// hosts for 10 days, at hourly and at event resolution, and each cell's
+// checkpoint at hour H−1 carries its hosts' monitor counters. A host stays awake
 // only through maybeSuspendUntil's two early returns (the grace period
 // reaches past the next activity; the transition cannot finish before
 // it), which nothing counts.

@@ -118,11 +118,12 @@ func (d *durableState) spillPath(hash string, cell int) string {
 // checkpoint atomically (tmp+rename, so a crash mid-write can never
 // leave a torn spill), counted in drowsyd_spill_bytes_total and timed
 // in drowsyd_spill_seconds, and resume from a spilled blob when one
-// decodes cleanly. A spill that fails to decode is deleted and the cell
+// decodes cleanly; the cell gets the decoded state, so each spill is
+// decoded once. A spill that fails to decode is deleted and the cell
 // runs from hour zero — at the server boundary a stale or damaged spill
 // must degrade to recomputation, never block recovery (the scenario
-// layer's strict no-silent-degrade contract still guards explicitly
-// provided blobs).
+// layer's strict no-silent-degrade contract still guards the states it
+// is handed).
 func (s *Server) planFor(key string) *scenario.CheckpointPlan {
 	if s.durable == nil {
 		return nil
@@ -146,17 +147,18 @@ func (s *Server) planFor(key string) *scenario.CheckpointPlan {
 			s.spillSeconds.Observe(time.Since(start).Seconds())
 			s.spillBytes.Add(uint64(len(data)))
 		},
-		Resume: func(cell int, policy string) []byte {
+		Resume: func(cell int, policy string) *checkpoint.RunState {
 			data, err := os.ReadFile(d.spillPath(hash, cell))
 			if err != nil {
 				return nil // no spill: fresh cell
 			}
-			if _, err := checkpoint.Decode(data); err != nil {
+			st, err := checkpoint.Decode(data)
+			if err != nil {
 				os.Remove(d.spillPath(hash, cell)) //nolint:errcheck
 				s.spillErrors.Add(1)
 				return nil
 			}
-			return data
+			return st
 		},
 	}
 }

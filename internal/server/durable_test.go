@@ -189,6 +189,60 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalRecoveryBadSpill: a spill that fails to decode is deleted
+// and counted as a spill error, and its cell runs from hour zero — the
+// recovered response is byte-identical to the stateless daemon's. The
+// cadence is longer than the run, so the replay writes no spill of its
+// own and the one error is the bad spill's.
+func TestJournalRecoveryBadSpill(t *testing.T) {
+	_, plainTS := newTestServer(t)
+	_, _, want := post(t, plainTS, "/v1/run", durableSpec)
+
+	dir := t.TempDir()
+	hash := specHash(durableKey(t))
+	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(checkpoint.Entry{Key: hash, Kind: "run", Spec: []byte(durableSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	spill := filepath.Join(dir, "checkpoints", hash+"-c0.ckpt")
+	if err := os.WriteFile(spill, []byte("not a checkpoint"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := mustNew(t, Config{Version: "test", StateDir: dir})
+	t.Cleanup(func() { s.Close() }) //nolint:errcheck
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	waitReady(t, ts)
+
+	if got := s.Stats().ReplayedJobs; got != 1 {
+		t.Fatalf("replayed %d jobs, want 1", got)
+	}
+	status, cache, got := post(t, ts, "/v1/run", durableSpec)
+	if status != http.StatusOK || cache != "hit" {
+		t.Fatalf("recovered request = %d cache=%s", status, cache)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatal("response after a bad spill differs from the stateless daemon's")
+	}
+	waitFor(t, "bad spill removed", func() bool {
+		_, err := os.Stat(spill)
+		return os.IsNotExist(err)
+	})
+	if got := s.Stats().SpillErrors; got != 1 {
+		t.Fatalf("%d spill errors, want 1 (the bad spill)", got)
+	}
+}
+
 // TestJournalSurvivesRunningDaemon covers the journaling side of a live
 // daemon: an admitted job appends a record, completion tombstones it,
 // and reopening the journal shows a clean (empty, untorn) backlog.

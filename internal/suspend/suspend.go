@@ -2,13 +2,17 @@
 // per-host agent that monitors idleness and takes the decision of
 // suspending its host.
 //
-// Its idleness check rests on the simulated host OS (internal/ossim):
-// the host is idle when no non-blacklisted process is running or blocked
-// on I/O — blacklisting covers the paper's false negatives (monitoring
-// agents, kernel watchdogs), and blocked-on-I/O covers the first class
-// of false positives. The second class (idle-looking VMs with open
-// sessions) is deliberately not introspected, per the paper's design
-// choice to support unmodified applications and rely on quick resume.
+// It reads its host through the Host interface. On the simulated host
+// OS of Figure 3 (internal/ossim) the host is idle when no
+// non-blacklisted process is running or blocked on I/O — blacklisting
+// covers the paper's false negatives (monitoring agents, kernel
+// watchdogs), and blocked-on-I/O covers the first class of false
+// positives. The second class (idle-looking VMs with open sessions) is
+// deliberately not introspected, per the paper's design choice to
+// support unmodified applications and rely on quick resume. The fleet
+// runtime (internal/dcsim) checks only idle hours and idle gaps, so its
+// hosts are always idle and their waking date is the earliest of their
+// residents' hr-timers.
 //
 // An anti-oscillation grace time protects a freshly resumed host from
 // immediately suspending again: between 5 s and 2 min, exponentially
@@ -24,7 +28,6 @@ package suspend
 import (
 	"math"
 
-	"drowsydc/internal/ossim"
 	"drowsydc/internal/simtime"
 )
 
@@ -100,10 +103,20 @@ type Decision struct {
 	HasWake bool
 }
 
+// Host is what the suspending module reads of its host.
+type Host interface {
+	// Idle reports whether no process of interest is running or
+	// blocked on I/O.
+	Idle() bool
+	// NextWake returns the earliest non-blacklisted hr-timer (§V-B);
+	// ok is false when there is none.
+	NextWake() (at simtime.Time, ok bool)
+}
+
 // Monitor is the suspending module of one host.
 type Monitor struct {
 	cfg        Config
-	os         *ossim.OS
+	host       Host
 	graceUntil simtime.Time
 	suspended  bool
 	decisions  uint64
@@ -111,10 +124,10 @@ type Monitor struct {
 	vetoBusy   uint64
 }
 
-// NewMonitor creates a suspending module watching the given host OS.
-func NewMonitor(cfg Config, os *ossim.OS) *Monitor {
-	if os == nil {
-		panic("suspend: nil OS")
+// NewMonitor creates a suspending module watching the given host.
+func NewMonitor(cfg Config, host Host) *Monitor {
+	if host == nil {
+		panic("suspend: nil host")
 	}
 	if cfg.MaxGrace < 0 {
 		panic("suspend: negative max grace")
@@ -122,7 +135,7 @@ func NewMonitor(cfg Config, os *ossim.OS) *Monitor {
 	if cfg.MaxGrace == 0 {
 		cfg.MaxGrace = MaxGrace
 	}
-	return &Monitor{cfg: cfg, os: os}
+	return &Monitor{cfg: cfg, host: host}
 }
 
 // OnResume must be called when the host resumes (or first boots). It
@@ -158,17 +171,17 @@ func (m *Monitor) Check(now simtime.Time) Decision {
 		m.vetoGrace++
 		return Decision{}
 	}
-	if !m.os.Idle() {
+	if !m.host.Idle() {
 		m.vetoBusy++
 		return Decision{}
 	}
 	d := Decision{Suspend: true}
-	d.WakeAt, d.HasWake = m.os.NextWake()
+	d.WakeAt, d.HasWake = m.host.NextWake()
 	return d
 }
 
 // MonitorState is the complete serializable state of a Monitor minus
-// its configuration and OS handle (both reconstructed at restore), for
+// its configuration and host handle (both reconstructed at restore), for
 // deterministic run checkpoints.
 type MonitorState struct {
 	GraceUntil simtime.Time

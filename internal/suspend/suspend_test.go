@@ -157,8 +157,6 @@ func TestWakingDateFromTimers(t *testing.T) {
 	os := newIdleOS()
 	backup := os.Spawn("backup", ossim.StateSleeping)
 	os.RegisterTimer(backup, 5000)
-	wd := os.Snapshot()[0].PID // monitord pid
-	_ = wd
 	// Blacklisted timer earlier than the backup's must be filtered.
 	mon := 1 // monitord was the first spawn
 	os.RegisterTimer(mon, 1000)
@@ -238,7 +236,7 @@ func TestOscillationPrevention(t *testing.T) {
 func TestConstructorValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("nil OS should panic")
+			t.Error("nil host should panic")
 		}
 	}()
 	NewMonitor(Config{UseGrace: true}, nil)
