@@ -10,19 +10,22 @@ import (
 )
 
 // modelBitsEqual compares every stored float of two models exactly,
-// including the lazily allocated tables and the learned weights.
+// including the lazily allocated rows and tables and the learned
+// weights.
 func modelBitsEqual(a, b *Model) bool {
-	if a.SId != b.SId || a.SIw != b.SIw || a.W != b.W {
+	if a.SId != b.SId || a.W != b.W {
 		return false
 	}
-	same := func(ta, tb *SIMonth) bool {
-		return ta == nil && tb == nil || ta != nil && tb != nil && *ta == *tb
+	for d := range a.SIw {
+		if !sameRow(a.SIw[d], b.SIw[d]) {
+			return false
+		}
 	}
-	if !same(a.SIm, b.SIm) {
+	if !sameRow(a.SIm, b.SIm) {
 		return false
 	}
 	for mo := range a.SIy {
-		if !same(a.SIy[mo], b.SIy[mo]) {
+		if !sameRow(a.SIy[mo], b.SIy[mo]) {
 			return false
 		}
 	}
@@ -30,9 +33,14 @@ func modelBitsEqual(a, b *Model) bool {
 		a.hoursObserved == b.hoursObserved && a.hoursIdle == b.hoursIdle
 }
 
+// sameRow reports whether two lazily allocated rows are both absent, or
+// both present with equal scores.
+func sameRow[T SIDay | SIMonth](a, b *T) bool {
+	return a == nil && b == nil || a != nil && b != nil && *a == *b
+}
+
 // randomActivity draws an activity level biased toward the regimes that
-// matter: exact zeros, sub-floor noise, and long idle streaks that
-// drive SI cells into saturation — the fast path's territory.
+// matter: exact zeros, sub-floor noise, and long idle streaks.
 func randomActivity(rng *rand.Rand) float64 {
 	switch rng.Intn(10) {
 	case 0:
@@ -46,70 +54,67 @@ func randomActivity(rng *rand.Rand) float64 {
 	}
 }
 
-// TestObserveSaturationTableBitIdentical drives pairs of models through
-// long randomized observation sequences, one with the saturation table
-// and one forced down the always-exp path, and requires every stored
-// float to match bit for bit after every single observation — the
-// old-vs-new discipline of the oasis index tests.
-func TestObserveSaturationTableBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x5a7))
-	for trial := 0; trial < 8; trial++ {
-		fast, exact := New(), New()
-		start := simtime.Hour(rng.Intn(simtime.HoursPerYear))
-		hours := 2000 + rng.Intn(3000)
-		for i := 0; i < hours; i++ {
-			st := simtime.Decompose(start + simtime.Hour(i))
-			a := randomActivity(rng)
-			fast.Observe(st, a)
-			satDisabled = true
-			exact.Observe(st, a)
-			satDisabled = false
-			if !modelBitsEqual(fast, exact) {
-				t.Fatalf("trial %d: models diverge after hour %d (activity %v)", trial, i, a)
+// expUpdate is the eq. 5 cell update with the exponential always
+// evaluated: the reference updateCell must match bit for bit.
+func expUpdate(si, aStar float64, idle bool) float64 {
+	v := aStar * u(math.Abs(si))
+	if idle {
+		si += v
+	} else {
+		si -= v
+	}
+	return clamp(si, -1, 1)
+}
+
+// TestUpdateCellMatchesAlwaysExp pins the zero-cell shortcut to the
+// always-exp update on both sides of zero: ±0, the smallest magnitudes
+// around it, interior scores and the bounds, under random a* and both
+// directions.
+func TestUpdateCellMatchesAlwaysExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x0e5))
+	sis := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 5e-324, -5e-324,
+		1e-9, -1e-9, 0.25, -0.25, Beta, -Beta, 0.9999, -0.9999, 1, -1}
+	for range 200 {
+		aStar := Sigma * rng.Float64()
+		for _, si := range sis {
+			for _, idle := range []bool{true, false} {
+				got, want := updateCell(si, aStar, idle), expUpdate(si, aStar, idle)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("updateCell(%v, %v, idle=%v) = %v, always-exp %v", si, aStar, idle, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestObserveSaturationTableSaturated pushes cells all the way to the
-// ±1 bounds and checks the fast path agrees with the exact path at and
-// across the saturation boundary, where its threshold arithmetic is
-// sharpest. A cell only moves when its calendar coordinate recurs (and
-// by at most Sigma·u ≈ 6e−5 per update), so advancing the clock would
-// take decades of simulated time; instead the same stamp is observed
-// repeatedly, which drives exactly that stamp's four cells to the
-// bounds within tens of thousands of observations.
-func TestObserveSaturationTableSaturated(t *testing.T) {
-	st := simtime.Decompose(simtime.Hour(13))
-	fast, exact := New(), New()
-	step := func(i int, a float64) {
-		fast.Observe(st, a)
-		satDisabled = true
-		exact.Observe(st, a)
-		satDisabled = false
-		if !modelBitsEqual(fast, exact) {
-			t.Fatalf("models diverge at observation %d (activity %v, SI_d=%v)",
-				i, a, exact.SId[st.HourOfDay])
+// TestObserveSaturationTableBitIdentical drives models through long
+// randomized observation sequences and requires every one of the four
+// cells an observation writes to hold, after it, exactly the bits the
+// always-exp update gives from the cell's prior score. The weights
+// learn from those cells, so they follow.
+func TestObserveSaturationTableBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5a7))
+	for trial := 0; trial < 8; trial++ {
+		m := New()
+		start := simtime.Hour(rng.Intn(simtime.HoursPerYear))
+		hours := 2000 + rng.Intn(3000)
+		for i := 0; i < hours; i++ {
+			st := simtime.Decompose(start + simtime.Hour(i))
+			a := randomActivity(rng)
+			idle := a < m.opts.NoiseFloor
+			aStar := Sigma * a
+			if idle {
+				aStar = Sigma * m.MeanActiveLevel()
+			}
+			before := m.scores(st)
+			m.Observe(st, a)
+			after := m.scores(st)
+			for k := range after {
+				if want := expUpdate(before[k], aStar, idle); math.Float64bits(after[k]) != math.Float64bits(want) {
+					t.Fatalf("trial %d hour %d scale %d: cell %v → %v, always-exp %v", trial, i, k, before[k], after[k], want)
+				}
+			}
 		}
-	}
-	for i := 0; i < 25000; i++ {
-		step(i, 0)
-	}
-	if fast.SId[st.HourOfDay] != 1 {
-		t.Fatalf("SI_d = %v after the idle run, want saturation at 1", fast.SId[st.HourOfDay])
-	}
-	// The pinned regime must genuinely take the fast path, not agree by
-	// accident of both sides computing exp: check its guard holds here.
-	aStar := Sigma * fast.MeanActiveLevel()
-	if thr := aStar * uSatLo[satBucket(1)]; thr < satMinStep {
-		t.Fatalf("fast path dormant at saturation: t=%v < %v", thr, satMinStep)
-	}
-	// Full activity drags the cells off +1, across zero, down to −1.
-	for i := 0; i < 60000; i++ {
-		step(i, 1)
-	}
-	if fast.SId[st.HourOfDay] != -1 {
-		t.Fatalf("SI_d = %v after the active run, want saturation at -1", fast.SId[st.HourOfDay])
 	}
 }
 
@@ -145,25 +150,6 @@ func TestObserveColumnReplicatedMemo(t *testing.T) {
 	for i := range batch {
 		if !modelBitsEqual(batch[i], loop[i]) {
 			t.Fatalf("replica %d diverges between memoized column and plain loop", i)
-		}
-	}
-}
-
-// TestUSatLoIsLowerBound pins the table's defining property: every
-// bucket's stored bound sits strictly below u at any point of the
-// bucket (u is decreasing, so the right edge is the infimum).
-func TestUSatLoIsLowerBound(t *testing.T) {
-	for b := 0; b < satBuckets; b++ {
-		right := float64(b+1) / satBuckets
-		if right > 1 {
-			right = 1
-		}
-		if uSatLo[b] >= u(right) {
-			t.Fatalf("bucket %d: bound %v not below u(right)=%v", b, uSatLo[b], u(right))
-		}
-		left := float64(b) / satBuckets
-		if uSatLo[b] >= u(left) {
-			t.Fatalf("bucket %d: bound %v not below u(left)=%v", b, uSatLo[b], u(left))
 		}
 	}
 }
@@ -251,43 +237,16 @@ func TestObserveColumnConcurrentShards(t *testing.T) {
 	}
 }
 
-// saturatedColumn builds a column of models in the LLMI steady state —
-// every cell pinned at +1, the asymptote of a decades-idle VM — with
-// distinct mean active levels so each model presents a distinct a* and
-// the cross-model memo never hits: what remains is purely the
-// saturation table. Cells are pinned directly (an observation-driven
-// approach would need ~50 simulated years per cell; see the cadence
-// note on TestObserveSaturationTableSaturated).
-func saturatedColumn(n int) ([]*Model, []float64) {
-	saturated := func() *SIMonth {
-		t := new(SIMonth)
-		for d := range t {
-			for h := range t[d] {
-				t[d][h] = 1
-			}
-		}
-		return t
+// distinctActs returns n activity levels drawn from randomActivity
+// with active levels per model distinct, so the cross-model memo
+// rarely hits and the per-cell update cost shows.
+func distinctActs(n int) []float64 {
+	rng := rand.New(rand.NewSource(0xac7))
+	acts := make([]float64, n)
+	for i := range acts {
+		acts[i] = randomActivity(rng)
 	}
-	models := make([]*Model, n)
-	for i := range models {
-		m := New()
-		for h := range m.SId {
-			m.SId[h] = 1
-		}
-		for d := range m.SIw {
-			for h := range m.SIw[d] {
-				m.SIw[d][h] = 1
-			}
-		}
-		m.SIm = saturated()
-		for mo := range m.SIy {
-			m.SIy[mo] = saturated()
-		}
-		m.activeSum = 0.5 + float64(i)*1e-6 // distinct a* per model: defeat the memo
-		m.activeCount = 1
-		models[i] = m
-	}
-	return models, make([]float64, n)
+	return acts
 }
 
 // replicatedColumn builds a column of n bit-identical models — a
@@ -307,48 +266,63 @@ func replicatedColumn(n int) ([]*Model, []float64) {
 }
 
 // BenchmarkModelObserveBatch measures the batched hourly update on
-// 512-model columns in the two regimes the batch path accelerates:
+// 512-model columns in the regimes runs see:
 //
-//   - saturated: cells pinned at ±1 with per-model-distinct a*, so the
-//     quantized saturation table (vs. the forced always-exp path) is
-//     isolated;
+//   - fresh-week: fresh models observed over a one-week run under its
+//     read horizon (last hour + 23), as in a week-long fleet run; the
+//     column is replaced by fresh models after each simulated week.
+//     Most cells sit at zero or are skipped, so the zero-cell update
+//     carries the pass;
+//   - month-trained: models trained on a month of a real trace,
+//     observed under KeepAll with per-model activity, so most updates
+//     evaluate the exponential;
 //   - replicated: identical models, so the cross-model memo (vs. the
 //     memo-free per-model loop) is isolated.
 func BenchmarkModelObserveBatch(b *testing.B) {
-	// Two column widths: 512 models stride ~40 MB of SI tables per pass
-	// (memory-bound — the regime a fleet shard sees), 16 models stay
-	// cache-resident (compute-bound — isolates the arithmetic the table
-	// removes; expect the larger relative win here).
-	for _, width := range []struct {
-		name string
-		n    int
-	}{{"saturated", 512}, {"saturated-hot", 16}} {
-		b.Run(width.name, func(b *testing.B) {
-			for _, mode := range []struct {
-				name    string
-				disable bool
-			}{{"exp-table", false}, {"exact", true}} {
-				b.Run(mode.name, func(b *testing.B) {
-					models, acts := saturatedColumn(width.n)
-					satDisabled = mode.disable
-					defer func() { satDisabled = false }()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						st := simtime.Decompose(simtime.Hour(i % simtime.HoursPerYear))
-						ObserveColumn(st, models, acts, KeepAll)
-					}
-				})
-			}
-		})
+	const n, week = 512, 7 * simtime.HoursPerDay
+	fresh := func() []*Model {
+		models := make([]*Model, n)
+		for i := range models {
+			models[i] = New()
+		}
+		return models
 	}
+	b.Run("fresh-week", func(b *testing.B) {
+		models, acts := fresh(), distinctActs(n)
+		const horizon = week - 1 + 23
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h := simtime.Hour(i % week)
+			if h == 0 && i > 0 {
+				b.StopTimer()
+				models = fresh()
+				b.StartTimer()
+			}
+			ObserveColumn(simtime.Decompose(h), models, acts, horizon)
+		}
+	})
+	b.Run("month-trained", func(b *testing.B) {
+		proto := trainedModel(31 * simtime.HoursPerDay)
+		models := make([]*Model, n)
+		for i := range models {
+			models[i] = proto.Clone()
+		}
+		acts := distinctActs(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st := simtime.Decompose(simtime.Hour(31*simtime.HoursPerDay + i%simtime.HoursPerYear))
+			ObserveColumn(st, models, acts, KeepAll)
+		}
+	})
 	b.Run("replicated", func(b *testing.B) {
 		for _, mode := range []struct {
 			name string
 			memo bool
 		}{{"memo-column", true}, {"plain-loop", false}} {
 			b.Run(mode.name, func(b *testing.B) {
-				models, acts := replicatedColumn(512)
+				models, acts := replicatedColumn(n)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -13,11 +13,11 @@ import (
 // codecMagic and the codec versions guard the binary format of a
 // serialized idleness model. Run checkpoints (internal/checkpoint) carry
 // each VM's model in it. Every version starts with the magic and the
-// version (4 bytes each), then SI_d and SI_w in full, and ends with the
-// same tail: the 4 weights, activeSum, activeCount, hoursObserved,
-// hoursIdle and the three option fields. They differ in how they write
-// the two large tables, SI_m and the 12 SI_y month rows (744 scores
-// each):
+// version (4 bytes each), then SI_d and the 7 SI_w day rows in full (an
+// unallocated row as 24 zeros), and ends with the same tail: the 4
+// weights, activeSum, activeCount, hoursObserved, hoursIdle and the
+// three option fields. They differ in how they write the two large
+// tables, SI_m and the 12 SI_y month rows (744 scores each):
 //   - Version 1 (dense) writes SI_m and all 12 SI_y rows, an unallocated
 //     one as zeros: 79 KB per model however little of the year was
 //     observed.
@@ -29,10 +29,13 @@ import (
 // A table is written only when it is allocated and holds a non-zero
 // score: an all-zero table reads as an unallocated one, so it is
 // canonicalized to absent, and every decoder restores an absent or
-// all-zero table as nil. So encode∘decode∘encode is a fixed point, and
-// a checkpoint captured right after a resume is byte-identical to the
-// straight-through capture. Encoding always writes version 3; decoding
-// accepts all three, so checkpoints from earlier builds still resume.
+// all-zero table as nil. Likewise every decoder restores an SI_w row
+// whose 24 scores are all +0 as nil; a row holding a −0 stays
+// allocated, so its bits survive. So encode∘decode∘encode is a fixed
+// point, and a checkpoint captured right after a resume is
+// byte-identical to the straight-through capture. Encoding always
+// writes version 3; decoding accepts all three, so checkpoints from
+// earlier builds still resume.
 const (
 	codecMagic         = 0x44724459 // "DrDY"
 	codecVersionDense  = 1
@@ -100,8 +103,11 @@ func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
 	for _, v := range m.SId {
 		dst = appendF(dst, v)
 	}
-	for d := range m.SIw {
-		for _, v := range m.SIw[d] {
+	for _, row := range m.SIw {
+		if row == nil {
+			row = &zeroDay
+		}
+		for _, v := range row {
 			dst = appendF(dst, v)
 		}
 	}
@@ -123,6 +129,9 @@ func (m *Model) AppendBinary(dst []byte) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.opts.DescentSteps))
 	return dst, nil
 }
+
+// zeroDay is what an unallocated SI_w row reads and encodes as.
+var zeroDay SIDay
 
 func appendF(buf []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
@@ -300,8 +309,9 @@ func (r *modelReader) month() (*SIMonth, error) {
 	return &cp, nil
 }
 
-// decodeFixedScores reads the SI_d and SI_w tables every version
-// writes in full.
+// decodeFixedScores reads the SI_d table and the SI_w rows every
+// version writes in full. A row whose scores are all +0 bit patterns
+// decodes as nil, the unallocated form that reads and encodes the same.
 func (m *Model) decodeFixedScores(r *modelReader) error {
 	for i := range m.SId {
 		if err := r.f64(&m.SId[i], "body"); err != nil {
@@ -309,10 +319,18 @@ func (m *Model) decodeFixedScores(r *modelReader) error {
 		}
 	}
 	for d := range m.SIw {
-		for i := range m.SIw[d] {
-			if err := r.f64(&m.SIw[d][i], "body"); err != nil {
+		var row SIDay
+		var bitsOr uint64
+		for i := range row {
+			if err := r.f64(&row[i], "body"); err != nil {
 				return err
 			}
+			bitsOr |= math.Float64bits(row[i])
+		}
+		m.SIw[d] = nil
+		if bitsOr != 0 {
+			cp := row
+			m.SIw[d] = &cp
 		}
 	}
 	return nil

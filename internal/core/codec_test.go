@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"testing"
 
@@ -217,6 +218,38 @@ func TestCodecFreshModelTiny(t *testing.T) {
 	}
 	if got.SIm != nil {
 		t.Fatal("an all-zero SI_m table decodes as allocated")
+	}
+}
+
+// TestCodecWeekRows pins how SI_w rows cross the codec, whose layout
+// writes every row: an unallocated row encodes as 24 zeros, a row of +0
+// scores decodes as nil, and a row holding a −0 stays allocated, so its
+// bits re-encode unchanged.
+func TestCodecWeekRows(t *testing.T) {
+	fresh := encode(t, New())
+	zeroed := New()
+	zeroed.SIw[3] = new(SIDay)
+	if !bytes.Equal(encode(t, zeroed), fresh) {
+		t.Fatal("an all-zero SI_w row encodes differently from an absent one")
+	}
+	negZero := New()
+	negZero.SIw[3] = new(SIDay)
+	negZero.SIw[3][5] = math.Copysign(0, -1)
+	data := encode(t, negZero)
+	var got Model
+	if err := got.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if got.SIw[3] == nil || !bytes.Equal(encode(t, &got), data) {
+		t.Fatal("a SI_w row holding −0 does not survive the round trip")
+	}
+	if err := got.UnmarshalBinary(fresh); err != nil {
+		t.Fatal(err)
+	}
+	for d, row := range got.SIw {
+		if row != nil {
+			t.Fatalf("the all-zero SI_w row %d decodes as allocated", d)
+		}
 	}
 }
 

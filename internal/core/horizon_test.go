@@ -48,26 +48,33 @@ func TestSkippingObserveHandsOverIP(t *testing.T) {
 // hour plus 23) and a keep-everything twin see the same activity; each
 // hour, every read the runtime can make must agree bit for bit: the
 // 24-hour profile before the observation, and IPAt at the hour just
-// observed after it. Both runs end on Feb 28 01:00, so the last profile
-// reads Mar 1 00:00. The year-long run reads a SI_y cell written exactly
-// one year before the horizon; the 650-hour run from Feb 1 keeps its
-// SI_m table by exactly one hour. A bound one hour tighter on either
-// scale fails here.
+// observed after it. Each case's last profile read lands exactly on its
+// horizon, on a row first written one read-back gap before it:
+//   - year and month end on Feb 28 01:00, so the last profile reads
+//     Mar 1 00:00. The year-long run reads a SI_y cell written exactly
+//     one year before the horizon; the 650-hour run from Feb 1 keeps its
+//     SI_m table by exactly one hour;
+//   - week starts on Monday 00:00 (hour 0) and ends at hour 169, so the
+//     last profile reads hour 192, Tuesday 00:00, a cell of the Tuesday
+//     row first written at hour 24.
+//
+// A bound one hour tighter on any scale fails here.
 func TestHorizonReadsMatchKeepAll(t *testing.T) {
-	end := simtime.Date(1, 1, 27, 1) // Feb 28 01:00, year 1
+	feb28 := simtime.Date(1, 1, 27, 1) // Feb 28 01:00, year 1
 	g := trace.RealTrace(3)
 	for _, tc := range []struct {
-		name  string
-		start simtime.Hour
+		name       string
+		start, end simtime.Hour
 	}{
-		{"year", simtime.Date(0, 0, 0, 0)},
-		{"month", simtime.Date(1, 1, 0, 0)},
+		{"year", simtime.Date(0, 0, 0, 0), feb28},
+		{"month", simtime.Date(1, 1, 0, 0), feb28},
+		{"week", 0, 169},
 	} {
-		horizon := end + 23
+		horizon := tc.end + 23
 		m, keep := New(), New()
 		var stamps [24]simtime.Stamp
 		var got, want [24]float64
-		for h := tc.start; h <= end; h++ {
+		for h := tc.start; h <= tc.end; h++ {
 			for k := range stamps {
 				stamps[k] = simtime.Decompose(h + simtime.Hour(k))
 			}
@@ -86,15 +93,22 @@ func TestHorizonReadsMatchKeepAll(t *testing.T) {
 				t.Fatalf("%s: IPAt(%d) after its observe = %v, keep-everything %v", tc.name, h, got, want)
 			}
 		}
-		if tc.name == "month" && m.SIm == nil {
-			t.Fatal("month: the SI_m table the last round reads was never allocated")
+		switch tc.name {
+		case "month":
+			if m.SIm == nil {
+				t.Fatal("month: the SI_m table the last round reads was never allocated")
+			}
+		case "week":
+			if m.SIw[1] == nil || m.SIw[2] != nil {
+				t.Fatal("week: want the Tuesday row the last round reads kept and the Wednesday row skipped")
+			}
 		}
 	}
 }
 
 // TestObserveColumnKeepNothingAllocationFree: a column observe whose
-// horizon keeps no cell allocates nothing, neither tables nor the
-// scratch that stands in for them.
+// horizon keeps no cell allocates nothing, neither rows nor tables nor
+// the scratch that stands in for them.
 func TestObserveColumnKeepNothingAllocationFree(t *testing.T) {
 	models := []*Model{New(), New(), New()}
 	acts := []float64{0, 0.3, 1}
@@ -106,6 +120,11 @@ func TestObserveColumnKeepNothingAllocationFree(t *testing.T) {
 		t.Fatalf("a keep-nothing column observe allocates %v times", n)
 	}
 	for i, m := range models {
+		for d, row := range m.SIw {
+			if row != nil {
+				t.Fatalf("model %d allocated its SI_w row %d", i, d)
+			}
+		}
 		if m.SIm != nil {
 			t.Fatalf("model %d allocated its SI_m table", i)
 		}

@@ -93,9 +93,10 @@ func (o Options) withDefaults() Options {
 // the VM's host or from its serial phases, so no locking is needed.
 type Model struct {
 	// The fields every read or observation touches come first, so a
-	// memo hit reads only the model's first cache line; the other fixed
-	// fields observe reads (the counters, the options and the table
-	// pointers) fill the next three. TestModelFootprint pins the layout.
+	// memo hit reads only the model's first cache line; the table
+	// pointers a memo miss reads fill the next three, and the other
+	// fixed fields observe reads (the counters and the options) follow
+	// them. TestModelFootprint pins the layout.
 
 	// memoHour and memoIP are IPAt's one-hour memo: memoIP is the IP at
 	// hour memoHour−1, and memoHour 0 marks the memo empty (hours are
@@ -111,35 +112,47 @@ type Model struct {
 	activeSum   float64
 	activeCount int64
 
+	// SI scores per calendar scale; all in [−1, 1], positive = idle.
+	// Only the hour-of-day table (SId, 24 floats) is stored inline. The
+	// week scale's day rows (SIw, 7 of 24 floats), the day-of-month
+	// table (SIm, 31×24 floats) and the year scale's month rows (SIy,
+	// 12 of 31×24 floats) are allocated on a write that a read can come
+	// back to: a cell is next read one week (168 hours), one month (at
+	// least 672 hours) or one year (8,760 hours) after its write, so in
+	// a run whose read horizon ends sooner, observe leaves the row or
+	// table nil (see observe). A nil row or table reads as all zeros,
+	// exactly the undetermined state a fresh one holds.
+	SIy [simtime.MonthsPerYear]*SIMonth
+	SIm *SIMonth
+	SIw [simtime.DaysPerWeek]*SIDay
+
 	// Observation counters, exposed for diagnostics.
 	hoursObserved int64
 	hoursIdle     int64
 
 	opts Options
 
-	// SI scores per calendar scale; all in [−1, 1], positive = idle.
-	// The day-of-month table (SIm, 31×24 floats) and the year table's
-	// month rows (SIy, 12 of them) are allocated on a write that a read
-	// can come back to: a cell is next read one month (at least 672
-	// hours) or one year (8,760 hours) after its write, so in a run
-	// whose read horizon ends sooner, observe leaves the table nil
-	// (see observe). A nil table reads as all zeros, exactly the
-	// undetermined state a fresh one holds.
-	SIy [simtime.MonthsPerYear]*SIMonth
-	SIm *SIMonth
-	SId [simtime.HoursPerDay]float64
-	SIw [simtime.DaysPerWeek][simtime.HoursPerDay]float64
+	// SId is stored inline: each of its cells is read back a day after
+	// its write.
+	SId SIDay
 }
+
+// SIDay is a row of SI scores by hour of day: the hour-of-day scale's
+// table, and one day row of the week scale's.
+type SIDay [simtime.HoursPerDay]float64
 
 // SIMonth is a table of SI scores by day of month and hour of day: the
 // day-of-month scale's table, and one month row of the year scale's.
 type SIMonth [simtime.DaysPerMonth][simtime.HoursPerDay]float64
 
 // Read-back gaps: a cell written at hour h is next read at h plus its
-// scale's gap or later. The calendar repeats every HoursPerYear hours,
-// and the shortest gap between two hours that share a day of month and
-// an hour of day is 28 days (February).
+// scale's gap or later. Weekdays run on across year ends, so two hours
+// share a day of week and an hour of day exactly when they lie a
+// multiple of 168 hours apart; the calendar repeats every HoursPerYear
+// hours; and the shortest gap between two hours that share a day of
+// month and an hour of day is 28 days (February).
 const (
+	weekGap  = simtime.DaysPerWeek * simtime.HoursPerDay
 	monthGap = 28 * simtime.HoursPerDay
 	yearGap  = simtime.HoursPerYear
 )
@@ -168,19 +181,17 @@ func (m *Model) Options() Options { return m.opts }
 // scores gathers the four SI values associated with a calendar hour, in
 // scale order (day, week, month, year).
 func (m *Model) scores(st simtime.Stamp) [NumScales]float64 {
-	month, year := 0.0, 0.0
+	s := [NumScales]float64{m.SId[st.HourOfDay]}
+	if row := m.SIw[st.DayOfWeek]; row != nil {
+		s[ScaleWeek] = row[st.HourOfDay]
+	}
 	if t := m.SIm; t != nil {
-		month = t[st.DayOfMonth][st.HourOfDay]
+		s[ScaleMonth] = t[st.DayOfMonth][st.HourOfDay]
 	}
 	if row := m.SIy[st.Month]; row != nil {
-		year = row[st.DayOfMonth][st.HourOfDay]
+		s[ScaleYear] = row[st.DayOfMonth][st.HourOfDay]
 	}
-	return [NumScales]float64{
-		m.SId[st.HourOfDay],
-		m.SIw[st.DayOfWeek][st.HourOfDay],
-		month,
-		year,
-	}
+	return s
 }
 
 // IP computes the idleness probability wᵀ·SI ∈ [−1, 1] for the calendar
@@ -193,10 +204,26 @@ func (m *Model) IP(st simtime.Stamp) float64 {
 // IPProfileInto fills out[i] with IP(stamps[i]) for a whole matching
 // horizon in one call — the shape consolidation rounds use, where each
 // VM's IP is read for every hour of the next day. It leaves IPAt's
-// memo alone: a round reads each hour of the horizon once.
+// memo alone: a round reads each hour of the horizon once. The weights
+// and the SI_m pointer are read once, since a store to out could
+// otherwise alias them; the week and year rows are read per stamp,
+// since a 24-hour window crosses days and months. Each value is the
+// expression IP computes, so it has IP's bits.
 func (m *Model) IPProfileInto(stamps []simtime.Stamp, out []float64) {
+	w, mt := m.W, m.SIm
 	for i := range out {
-		out[i] = m.IP(stamps[i])
+		st := stamps[i]
+		s := [NumScales]float64{m.SId[st.HourOfDay]}
+		if row := m.SIw[st.DayOfWeek]; row != nil {
+			s[ScaleWeek] = row[st.HourOfDay]
+		}
+		if mt != nil {
+			s[ScaleMonth] = mt[st.DayOfMonth][st.HourOfDay]
+		}
+		if row := m.SIy[st.Month]; row != nil {
+			s[ScaleYear] = row[st.DayOfMonth][st.HourOfDay]
+		}
+		out[i] = dot(w, s)
 	}
 }
 
@@ -282,15 +309,16 @@ func (m *Model) Observe(st simtime.Stamp, activity float64) {
 // horizon: the last hour any IP read of the model can reach. memo nil
 // means the plain per-model path.
 //
-// A missing SI_m table or SI_y row is allocated only when the cell
-// written at st.AbsHour can be read again by then, at its read-back gap.
-// Otherwise the cell's update goes to a scratch that reads 0, the value
-// a fresh table holds, and is dropped. The skip is exact for every read
-// up to the horizon: a cell read at hour r ≤ horizon was last written
-// at r − gap or earlier, and that write allocated its table. The one
-// read that can reach a skipped cell is a read at st.AbsHour after this
-// observe, so a skipping observe leaves IPAt's memo holding the IP a
-// stored cell would give there, dot(W, siNew), instead of clearing it.
+// A missing SI_w row, SI_m table or SI_y row is allocated only when
+// the cell written at st.AbsHour can be read again by then, at its
+// read-back gap. Otherwise the cell's update goes to a scratch that
+// reads 0, the value a fresh row holds, and is dropped. The skip is
+// exact for every read up to the horizon: a cell read at hour
+// r ≤ horizon was last written at r − gap or earlier, and that write
+// allocated its row. The one read that can reach a skipped cell is a
+// read at st.AbsHour after this observe, so a skipping observe leaves
+// IPAt's memo holding the IP a stored cell would give there,
+// dot(W, siNew), instead of clearing it.
 func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, horizon simtime.Hour) {
 	if activity < 0 || activity > 1 || math.IsNaN(activity) {
 		panic(fmt.Sprintf("core: activity %v out of [0,1]", activity))
@@ -307,8 +335,13 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, ho
 
 	w0 := m.W
 	// Resolve the four SI cells once; the gather and the write-back
-	// share the index arithmetic. A table left unallocated has its cell
+	// share the index arithmetic. A row left unallocated has its cell
 	// in skip.
+	wk := m.SIw[st.DayOfWeek]
+	if wk == nil && st.AbsHour <= horizon-weekGap {
+		wk = new(SIDay)
+		m.SIw[st.DayOfWeek] = wk
+	}
 	mt := m.SIm
 	if mt == nil && st.AbsHour <= horizon-monthGap {
 		mt = new(SIMonth)
@@ -319,12 +352,10 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, ho
 		row = new(SIMonth)
 		m.SIy[st.Month] = row
 	}
-	var skip [2]float64
-	cells := [NumScales]*float64{
-		&m.SId[st.HourOfDay],
-		&m.SIw[st.DayOfWeek][st.HourOfDay],
-		&skip[0],
-		&skip[1],
+	var skip [NumScales]float64
+	cells := [NumScales]*float64{&m.SId[st.HourOfDay], &skip[ScaleWeek], &skip[ScaleMonth], &skip[ScaleYear]}
+	if wk != nil {
+		cells[ScaleWeek] = &wk[st.HourOfDay]
 	}
 	if mt != nil {
 		cells[ScaleMonth] = &mt[st.DayOfMonth][st.HourOfDay]
@@ -336,11 +367,9 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, ho
 
 	siNew := siOld
 	for k := range siNew {
-		// The eq. 5 update, served through the saturation fast path of
-		// batch.go when the cell is provably pinned at ±1 (bit-identical
-		// to the always-exp computation; see the exactness argument
-		// there), and through the column memo when a replicated
-		// neighbour in the same column already computed this triple.
+		// The eq. 5 update, served through the column memo when a
+		// replicated neighbour in the same column already computed this
+		// triple.
 		if memo != nil {
 			siNew[k] = memo.update(k, siNew[k], aStar, idle)
 		} else {
@@ -352,7 +381,7 @@ func (m *Model) observe(st simtime.Stamp, activity float64, memo *columnMemo, ho
 	m.learnWeights(w0, siOld, siNew)
 	// The scores and weights changed. A skipped cell no longer holds
 	// siNew, so the memo keeps the hour's IP; otherwise it is dropped.
-	if mt == nil || row == nil {
+	if wk == nil || mt == nil || row == nil {
 		m.memoIP = dot(m.W, siNew)
 		m.memoHour = st.AbsHour + 1
 	} else {
@@ -434,10 +463,16 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// Clone returns a deep copy of the model: the SI_m table and the
-// year-scale month rows are copied, not shared.
+// Clone returns a deep copy of the model: the week-scale day rows, the
+// SI_m table and the year-scale month rows are copied, not shared.
 func (m *Model) Clone() *Model {
 	cp := *m
+	for d, row := range m.SIw {
+		if row != nil {
+			r := *row
+			cp.SIw[d] = &r
+		}
+	}
 	if m.SIm != nil {
 		t := *m.SIm
 		cp.SIm = &t

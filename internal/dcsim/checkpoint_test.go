@@ -226,12 +226,15 @@ func TestResumeRoundTripsThroughCodec(t *testing.T) {
 // TestResumeVersion2Spill pins resuming a spill from a build whose
 // model codec wrote version 2: testdata/resume-v2.drcp is
 // checkpointFixture(6, false) under production drowsy, captured at hour
-// 96 by that build. Re-encoding its models as version 3 gives exactly
-// this build's capture at hour 96; the resumed run's Result deep-equals
-// the straight-through run's, and its capture at hour 144 is
-// byte-identical to the straight-through one (capture → restore →
-// capture).
+// 96 by that build, which stored every SI_w cell. The resumed run's
+// Result deep-equals the straight-through run's: the week rows that
+// build stored and this one skips are read by no hour up to the
+// horizon. Re-encoding the spill's models as version 3, with those rows
+// cleared, gives exactly this build's capture at hour 96; a run resumed
+// from that state captures at hour 144 exactly what the straight-through
+// run does (capture → restore → capture).
 func TestResumeVersion2Spill(t *testing.T) {
+	const at = 96
 	blob, err := os.ReadFile("testdata/resume-v2.drcp")
 	if err != nil {
 		t.Fatal(err)
@@ -241,17 +244,44 @@ func TestResumeVersion2Spill(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := func() cluster.Policy { return drowsy.New(drowsy.Options{}) }
-	want, captures := map[simtime.Hour][]byte{}, map[simtime.Hour][]byte{}
+	want := map[simtime.Hour][]byte{}
 	c, cfg := checkpointFixture(6, false)
 	cfg.Checkpoint = func(hr simtime.Hour, data []byte) { want[hr] = data }
 	straight := NewRunner(cfg, c, pol()).Run()
 
-	reencoded, err := checkpoint.Decode(blob)
+	resume := func(st *checkpoint.RunState) (*Result, map[simtime.Hour][]byte) {
+		t.Helper()
+		captures := map[simtime.Hour][]byte{}
+		c2, cfg2 := checkpointFixture(6, false)
+		cfg2.Checkpoint = func(hr simtime.Hour, data []byte) { captures[hr] = data }
+		r2, err := ResumeRunner(cfg2, c2, pol(), st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r2.Run(), captures
+	}
+	got, _ := resume(st)
+	requireIdenticalResults(t, "resume@96", straight, got)
+	if !reflect.DeepEqual(straight, got) {
+		t.Fatal("resume@96: Result differs from the straight-through run")
+	}
+
+	// The storage rule keeps a week row only if the run writes it at an
+	// hour h with h + 168 ≤ horizon; the rows none of whose writes
+	// before the capture meet that are cleared.
+	horizon := cfg.StartHour + simtime.Hour(cfg.Hours-1+readAheadHours)
+	var kept [simtime.DaysPerWeek]bool
+	for h := cfg.StartHour; h < at; h++ {
+		if h+simtime.DaysPerWeek*simtime.HoursPerDay <= horizon {
+			kept[simtime.Decompose(h).DayOfWeek] = true
+		}
+	}
+	cleared, err := checkpoint.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range reencoded.VMs {
-		vs := &reencoded.VMs[i]
+	for i := range cleared.VMs {
+		vs := &cleared.VMs[i]
 		if v := binary.LittleEndian.Uint32(vs.Model[4:]); v != 2 {
 			t.Fatalf("VM %d model is version %d, want 2", vs.ID, v)
 		}
@@ -259,27 +289,24 @@ func TestResumeVersion2Spill(t *testing.T) {
 		if err := m.UnmarshalBinary(vs.Model); err != nil {
 			t.Fatal(err)
 		}
+		for d := range m.SIw {
+			if !kept[d] {
+				m.SIw[d] = nil
+			}
+		}
 		if vs.Model, err = m.AppendBinary(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(checkpoint.Encode(reencoded), want[96]) {
-		t.Fatal("the version-2 spill with its models re-encoded differs from the hour-96 capture")
+	if !bytes.Equal(checkpoint.Encode(cleared), want[at]) {
+		t.Fatal("the version-2 spill with its models re-encoded and unread week rows cleared differs from the hour-96 capture")
 	}
-
-	c2, cfg2 := checkpointFixture(6, false)
-	cfg2.Checkpoint = func(hr simtime.Hour, data []byte) { captures[hr] = data }
-	r2, err := ResumeRunner(cfg2, c2, pol(), st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r2.Run()
-	requireIdenticalResults(t, "resume@96", straight, got)
-	if !reflect.DeepEqual(straight, got) {
-		t.Fatal("resume@96: Result differs from the straight-through run")
+	gotCleared, captures := resume(cleared)
+	if !reflect.DeepEqual(straight, gotCleared) {
+		t.Fatal("resume@96 from the cleared spill: Result differs from the straight-through run")
 	}
 	if len(captures) != 1 || !bytes.Equal(captures[144], want[144]) {
-		t.Fatal("the resumed run's capture at hour 144 differs from the straight-through one")
+		t.Fatal("the capture at hour 144 of a run resumed from the cleared spill differs from the straight-through one")
 	}
 }
 

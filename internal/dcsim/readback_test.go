@@ -92,24 +92,31 @@ func readBackRun(start simtime.Hour, hours int) []uint64 {
 
 // TestReadBackMatchesKeepAll is the runtime's tripwire for the storage
 // rule: a run's reads must equal those of the same run extended by a
-// year, which keeps every cell the shorter run skips. Both cases end
-// on Feb 28 01:00, so the last round reads Mar 1 00:00. The year-long
-// case's last read hits a SI_y cell written exactly one year before
-// the horizon; the 650-hour case keeps its SI_m table by exactly one
-// hour. A bound one hour tighter on either scale, or an observe that
-// clears the memo instead of handing it the skipped hour's IP, fails
-// here.
+// year, which keeps every cell the shorter run skips. Each case's last
+// round reads exactly at its horizon, a cell first written one read-back
+// gap before it:
+//   - year and month end on Feb 28 01:00, so the last round reads
+//     Mar 1 00:00. The year-long case's last read hits a SI_y cell
+//     written exactly one year before the horizon; the 650-hour case
+//     keeps its SI_m table by exactly one hour;
+//   - week runs from Monday 00:00 (hour 0) to hour 169, so the last
+//     round reads hour 192, Tuesday 00:00, a cell of the Tuesday row
+//     first written at hour 24.
+//
+// A bound one hour tighter on any scale, or an observe that clears the
+// memo instead of handing it the skipped hour's IP, fails here.
 func TestReadBackMatchesKeepAll(t *testing.T) {
-	end := simtime.Date(2, 1, 27, 1)
+	feb28 := simtime.Date(2, 1, 27, 1)
 	for _, tc := range []struct {
-		name  string
-		start simtime.Hour
+		name       string
+		start, end simtime.Hour
 	}{
-		{"year", simtime.Date(1, 0, 0, 0)},
-		{"month", simtime.Date(2, 1, 0, 0)},
+		{"year", simtime.Date(1, 0, 0, 0), feb28},
+		{"month", simtime.Date(2, 1, 0, 0), feb28},
+		{"week", 0, 169},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			hours := int(end-tc.start) + 1
+			hours := int(tc.end-tc.start) + 1
 			got := readBackRun(tc.start, hours)
 			want := readBackRun(tc.start, hours+simtime.HoursPerYear)
 			if len(got) != 2*hours || len(want) < len(got) {

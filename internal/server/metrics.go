@@ -92,10 +92,10 @@ func (s *Server) initMetrics() {
 		func() uint64 { return s.stores.Promotions() })
 
 	r.CounterFunc("drowsydc_observe_fastpath_total", "",
-		"Batched model-cell updates that skipped the eq. 5 exponential (memo hits + saturation).",
+		"Batched model-cell updates that skipped the eq. 5 exponential (memo hits + cells at zero).",
 		core.ObserveFastPathCount)
 	r.CounterFunc("drowsydc_observe_exact_total", "",
-		"Batched model-cell updates that fell back to the exact math.Exp computation.",
+		"Batched model-cell updates that evaluated the eq. 5 exponential.",
 		core.ObserveExactCount)
 	r.CounterFunc("drowsydc_trace_chunk_publishes_total", "",
 		"Activity and timeline memo chunks computed and published across all memos in the process.",
