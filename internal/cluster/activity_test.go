@@ -12,13 +12,16 @@ import (
 
 // TestVMBurstsEquivalence checks that a VM's bursts always follow the
 // timeline seed it reports, whichever way and in whichever order it
-// was wired: private or shared timeline memos, and re-wiring with
-// another seed after a shared memo was attached and read, which must
-// drop that memo.
+// was wired: private or shared timeline memos, over a group source or
+// a member overlay, and re-wiring with another seed after a shared
+// memo was attached and read, which must drop that memo. A caller's
+// append to a result must leave the memo's hour as Expand built it:
+// other cells read the same chunk.
 func TestVMBurstsEquivalence(t *testing.T) {
 	g := trace.RealTrace(1)
 	base := trace.NewSource(g)
 	shared := trace.NewTimelines(100, base)
+	overlay := base.Variant(5, 13, 0.2)
 	for _, tc := range []struct {
 		name  string
 		wire  func(v *VM)
@@ -35,6 +38,15 @@ func TestVMBurstsEquivalence(t *testing.T) {
 		}, 101, g.Activity},
 		{"overlay", func(v *VM) { v.Wire(base.Variant(5, 13, 0.2), nil, 102) }, 102,
 			trace.VariantJitter(g, 5, 13, 0.2).Activity},
+		{"shared overlay", func(v *VM) {
+			v.Wire(base.Variant(5, 13, 0.2), trace.NewTimelines(102, overlay), 102)
+		}, 102, trace.VariantJitter(g, 5, 13, 0.2).Activity},
+		{"appended to", func(v *VM) {
+			v.Wire(base, shared, 100)
+			for h := simtime.Hour(0); h < 7*24; h++ {
+				_ = append(v.Bursts(h), timeline.Burst{Start: 3599, End: 3600})
+			}
+		}, 100, g.Activity},
 	} {
 		v := NewVM(1, "v", KindLLMI, 4, 2, g)
 		tc.wire(v)
@@ -43,8 +55,9 @@ func TestVMBurstsEquivalence(t *testing.T) {
 		}
 		for h := simtime.Hour(0); h < 7*24; h++ {
 			got, want := v.Bursts(h), timeline.Expand(tc.seed, h, tc.level(h))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s hour %d: bursts %v, want %v", tc.name, h, got, want)
+			// The memo's whole hour, spare burst slots included.
+			if memo := *v.tl.Ref(h); !reflect.DeepEqual(got, want.Bursts()) || memo != want {
+				t.Fatalf("%s hour %d: bursts %v in memo hour %+v, want %+v", tc.name, h, got, memo, want)
 			}
 		}
 	}
@@ -82,6 +95,21 @@ func TestVMSharedTimelineSeedMismatch(t *testing.T) {
 		}
 	}()
 	v.Wire(src, trace.NewTimelines(100, src), 101)
+}
+
+// TestVMSharedTimelineSourceMismatch pins the other half of the wiring
+// guard: a shared memo expanding another source's levels (here another
+// jitter amount over the same base) would replay bursts that disagree
+// with the VM's activity, so it panics.
+func TestVMSharedTimelineSourceMismatch(t *testing.T) {
+	base := trace.NewSource(trace.RealTrace(2))
+	v := NewVM(1, "v", KindLLMI, 4, 2, trace.RealTrace(2))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("source mismatch did not panic")
+		}
+	}()
+	v.Wire(base.Variant(5, 13, 0.3), trace.NewTimelines(100, base.Variant(5, 13, 0.2)), 100)
 }
 
 // TestVMActivityCachingEquivalence checks a VM's activity reads

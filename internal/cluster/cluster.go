@@ -67,9 +67,11 @@ type VM struct {
 	// act is the VM's hourly activity (see Wire).
 	act trace.Source
 	// tl memoizes the within-hour burst timelines consumed by the
-	// sub-hourly simulation mode, expanded with tlSeed. A private memo
-	// is built on the first Bursts read, so hourly runs never hold one.
-	tl     *trace.Memo[[]timeline.Burst]
+	// sub-hourly simulation mode, expanded with tlSeed: a memo Wire
+	// shares across a run's cells (a replicated group's, or a
+	// non-replicated member's per-call memo), or a private one built on
+	// the first Bursts read, so hourly runs never hold one.
+	tl     *trace.Memo[timeline.Hour]
 	tlSeed uint64
 }
 
@@ -87,17 +89,22 @@ func NewVM(id int, name string, kind Kind, memGB, vcpus int, gen trace.Generator
 }
 
 // Wire replaces the VM's activity source and timeline seed, and
-// optionally points its bursts at a timeline memo shared by a
-// replicated population (internal/scenario's workload groups). A nil
-// tl gives the VM a private memo of src expanded with seed. A shared
-// tl must be trace.NewTimelines(seed, ·) over the same levels as src:
-// a mismatched seed would make the VM report one seed while replaying
-// another's bursts, so it panics. src must derive from the VM's own
-// workload; sources are pure, so any memo of it reads bit-identically.
-func (v *VM) Wire(src trace.Source, tl *trace.Memo[[]timeline.Burst], seed uint64) {
+// optionally points its bursts at a timeline memo shared across a
+// run's cells (internal/scenario: one per replicated workload group,
+// one per non-replicated member). A nil tl gives the VM a private memo
+// of src expanded with seed. A shared tl must be
+// trace.NewTimelines(seed, src): a memo of another seed or another
+// source would make the VM report one timeline while replaying
+// another's bursts, so either mismatch panics. src must derive from
+// the VM's own workload; sources are pure, so any memo of it reads
+// bit-identically.
+func (v *VM) Wire(src trace.Source, tl *trace.Memo[timeline.Hour], seed uint64) {
 	if tl != nil && tl.Seed() != seed {
 		panic(fmt.Sprintf("cluster: VM %s timeline seed %#x mismatches shared store seed %#x",
 			v.Name, seed, tl.Seed()))
+	}
+	if tl != nil && !tl.Expands(src) {
+		panic(fmt.Sprintf("cluster: VM %s activity source mismatches shared store source", v.Name))
 	}
 	v.act, v.tl, v.tlSeed = src, tl, seed
 }
@@ -108,12 +115,14 @@ func (v *VM) TimelineSeed() uint64 { return v.tlSeed }
 
 // Bursts returns the VM's within-hour burst timeline for hour h: the
 // deterministic expansion of its activity level into request bursts
-// and idle gaps (internal/timeline).
+// and idle gaps (internal/timeline). The slice points into the memo's
+// published chunk, which other cells may be reading: callers must not
+// write through it (an append copies).
 func (v *VM) Bursts(h simtime.Hour) []timeline.Burst {
 	if v.tl == nil {
 		v.tl = trace.NewTimelines(v.tlSeed, v.act)
 	}
-	return v.tl.At(h)
+	return v.tl.Ref(h).Bursts()
 }
 
 // Activity returns the VM's activity level for the given hour.

@@ -1123,7 +1123,7 @@ func (r *Runner) playHourEvents(rt *hostRT, hr simtime.Hour, t0 simtime.Time, vm
 	if len(awake) == 0 {
 		return false
 	}
-	if awake[0].Start == 0 && awake[0].End == timeline.SecondsPerHour {
+	if awake[0].Start == 0 && int(awake[0].End) == timeline.SecondsPerHour {
 		return false // no within-hour transitions; the hourly path is exact
 	}
 	sh.eventHours++
@@ -1241,7 +1241,7 @@ func (r *Runner) fireDueScheduledWake(rt *hostRT, limit simtime.Time) {
 // floor-active VM with a burst starting at second sec of hour hr, or
 // -1 when only timer-driven bursts start there (their wake is a
 // scheduled date, not a latency-charged packet).
-func firstBurstIdx(vms []*cluster.VM, acts []float64, hr simtime.Hour, sec int) int {
+func firstBurstIdx(vms []*cluster.VM, acts []float64, hr simtime.Hour, sec uint16) int {
 	best := -1
 	for i, v := range vms {
 		if acts[i] < core.DefaultNoiseFloor || v.TimerDriven {

@@ -24,7 +24,7 @@ func timerVMID(t *testing.T, hr simtime.Hour, level float64) int {
 	t.Helper()
 	for id := 0; id < 64; id++ {
 		seed := timeline.MixSeed(0xd40b5eed, uint64(id))
-		if bs := timeline.Expand(seed, hr, level); len(bs) > 0 && bs[0].Start > 0 {
+		if exp := timeline.Expand(seed, hr, level); len(exp.Bursts()) > 0 && exp.Bursts()[0].Start > 0 {
 			return id
 		}
 	}
@@ -54,7 +54,7 @@ func TestEventTimerRegisteredAtFirstBurst(t *testing.T) {
 		Resolution: ResolutionEvent}, c, neat.New())
 	_ = r.Run()
 	burstStart := v.Bursts(wakeHour)[0].Start
-	if burstStart <= 0 {
+	if burstStart == 0 {
 		t.Fatal("picked VM's first burst starts at the boundary; vacuous")
 	}
 	want := wakeHour.Start().Add(simtime.Duration(burstStart))

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"drowsydc/internal/simtime"
 )
 
 // The scenario runner layers two execution choices on top of the
@@ -64,21 +66,30 @@ func TestSweepSerialParallelIdentical(t *testing.T) {
 
 // TestSweepSharedPrivateIdentical compares a sweep with the shared
 // trace store (one memo spanning every point × policy cell) against
-// private per-VM caches.
+// private per-VM caches. The jitter sweep runs lossy-wan at event
+// resolution, where each non-replicated member's timeline memo is
+// shared only among the points of one jitter amount.
 func TestSweepSharedPrivateIdentical(t *testing.T) {
-	sc := small("flash-crowd")
-	sc.Sweep = Sweep{Param: "rebalance", Values: []float64{3, 12}}
-	shared, err := RunSweep(sc, Options{})
+	lossy, err := BuildFamily("lossy-wan", Params{Hosts: 4, HorizonHours: 3 * simtime.HoursPerDay})
 	if err != nil {
 		t.Fatal(err)
 	}
-	private, err := RunSweep(sc, Options{private: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(shared, private) {
-		t.Fatalf("shared-store and private-cache sweep reports differ\nshared:  %+v\nprivate: %+v",
-			shared, private)
+	lossy.Sweep = Sweep{Param: "jitter", Values: []float64{0, 0.1, 0.3}}
+	flash := small("flash-crowd")
+	flash.Sweep = Sweep{Param: "rebalance", Values: []float64{3, 12}}
+	for _, sc := range []Scenario{flash, lossy} {
+		shared, err := RunSweep(sc, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		private, err := RunSweep(sc, Options{private: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shared, private) {
+			t.Fatalf("%s: shared-store and private-cache sweep reports differ\nshared:  %+v\nprivate: %+v",
+				sc.Name, shared, private)
+		}
 	}
 }
 

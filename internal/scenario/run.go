@@ -175,7 +175,7 @@ func Simulate(sc Scenario, opt Options) ([]*dcsim.Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	stores := opt.stores(sc)
+	stores := opt.stores(sc, []Scenario{sc})
 	cols := sc.policies()
 	progress := opt.progressCounter(len(cols))
 	// Probes are minted serially in cell order so recorder creation is
@@ -194,17 +194,24 @@ func Simulate(sc Scenario, opt Options) ([]*dcsim.Result, error) {
 	return collect(outs)
 }
 
-// stores resolves which shared stores a run uses: none for the
-// private test reference, the server-lifetime cache's when Stores is
-// set, per-run ones otherwise.
-func (opt Options) stores(sc Scenario) runStores {
+// stores resolves the memos a call shares across its cells: none for
+// the private test reference. Otherwise the group sources and
+// timelines of sc's workload structure come from the server-lifetime
+// cache when Stores is set and are built fresh if not, and the member
+// timeline table is built for points, the call's scenarios, alone: it
+// never enters the cache, so it lives exactly as long as the call.
+func (opt Options) stores(sc Scenario, points []Scenario) runStores {
 	if opt.private {
 		return runStores{}
 	}
+	var st runStores
 	if opt.Stores != nil {
-		return opt.Stores.storesFor(sc)
+		st = opt.Stores.storesFor(sc)
+	} else {
+		st = sc.sharedStores()
 	}
-	return sc.sharedStores()
+	st.members = st.memberTimelines(points)
+	return st
 }
 
 // progressCounter returns the per-cell completion hook: a shared atomic

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"drowsydc/internal/cluster"
 	"drowsydc/internal/dcsim"
@@ -340,18 +341,31 @@ func (sc Scenario) SimulatedVMs() int {
 }
 
 // runStores bundles the memos shared across every policy cell of a
-// run: one base activity source per workload group and — at sub-hourly
-// resolution — one timeline memo per replicated group. The zero value
-// is the test reference: every VM memoizes its own member generator
-// and timelines, with no overlay.
+// call (Run or RunSweep): one base activity source per workload group
+// and, at sub-hourly resolution, one timeline memo per replicated group
+// and one per non-replicated member. The sources and group timelines
+// are a pure function of the workload structure, so a StoreCache may
+// keep them across calls; the member table is built per call
+// (Options.stores) and dies with it. The zero value is the test
+// reference: every VM memoizes its own member generator and
+// timelines, with no overlay.
 type runStores struct {
 	sources   map[int]trace.Source
-	timelines map[int]*trace.Memo[[]timeline.Burst]
+	timelines map[int]*trace.Memo[timeline.Hour]
+	members   map[memberKey]*trace.Memo[timeline.Hour]
+}
+
+// memberKey identifies a non-replicated member's timeline memo: its
+// group and member index, and the bits of the jitter amount its
+// overlay applies, which a jitter sweep changes per point.
+type memberKey struct {
+	group, member int
+	jitter        uint64
 }
 
 // sharedStores builds one activity source per workload group, keyed by
 // group index. The sources are shared across every policy cell of a
-// Run — that is the point: all VMs of the group, in all cells, read
+// call — that is the point: all VMs of the group, in all cells, read
 // one memo. Replicated members read the group's source as is;
 // non-replicated members overlay their phase shift and jitter on it
 // (trace.Source.Variant), so member state is O(1) instead of a full
@@ -361,7 +375,7 @@ type runStores struct {
 func (sc Scenario) sharedStores() runStores {
 	st := runStores{sources: make(map[int]trace.Source)}
 	if sc.Resolution == dcsim.ResolutionEvent {
-		st.timelines = make(map[int]*trace.Memo[[]timeline.Burst])
+		st.timelines = make(map[int]*trace.Memo[timeline.Hour])
 	}
 	for gi, g := range sc.Groups {
 		st.sources[gi] = trace.NewSource(g.Gen)
@@ -370,6 +384,41 @@ func (sc Scenario) sharedStores() runStores {
 		}
 	}
 	return st
+}
+
+// memberTimelines builds a call's member table over st's group
+// sources: one timeline memo per non-replicated member of every
+// event-resolution point, expanding the member's own overlay with its
+// own seed, exactly as materialize wires it. Points that apply the
+// same jitter amount share one memo per member; hourly points read no
+// bursts and get none.
+func (st runStores) memberTimelines(points []Scenario) map[memberKey]*trace.Memo[timeline.Hour] {
+	var table map[memberKey]*trace.Memo[timeline.Hour]
+	for _, sc := range points {
+		if sc.Resolution != dcsim.ResolutionEvent {
+			continue
+		}
+		if table == nil {
+			table = make(map[memberKey]*trace.Memo[timeline.Hour])
+		}
+		for gi, g := range sc.Groups {
+			if g.Replicated {
+				continue
+			}
+			for i := 0; i < g.Count; i++ {
+				k := sc.memberKey(gi, i)
+				if _, ok := table[k]; !ok {
+					table[k] = trace.NewTimelines(memberTimelineSeed(gi, g, i), sc.memberSource(st.sources[gi], g, i))
+				}
+			}
+		}
+	}
+	return table
+}
+
+// memberKey returns the member table's key of group gi's member i.
+func (sc Scenario) memberKey(gi, i int) memberKey {
+	return memberKey{gi, i, math.Float64bits(sc.jitterAmount())}
 }
 
 // memberTimelineSeed derives member i's within-hour burst seed from
@@ -406,6 +455,14 @@ func (sc Scenario) jitterAmount() float64 {
 	return trace.VariantJitterAmount
 }
 
+// memberSource reads non-replicated member i's levels through an
+// overlay of its group's base source. The derivation must be exactly
+// memberGen's: same seed, shift and jitter over the same base, which
+// is what makes it bit-identical to a private memo.
+func (sc Scenario) memberSource(base trace.Source, g WorkloadGroup, i int) trace.Source {
+	return base.Variant(g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount())
+}
+
 // memberGen derives member i's generator from its group. Replicated
 // members replay the archetype exactly; others get a phase-shifted,
 // re-jittered variant whose jitter amplitude the scenario's Tuning may
@@ -419,8 +476,10 @@ func (sc Scenario) memberGen(g WorkloadGroup, i int) trace.Generator {
 
 // materialize builds one policy cell's cluster, its churn schedule and
 // the per-host power-profile overrides. Each cell owns a disjoint
-// cluster (cells run concurrently); shared activity and timeline
-// memos are the only state deliberately common to all cells.
+// cluster (cells run concurrently); the memos in st are the only state
+// deliberately common to all cells: group sources, replicated groups'
+// timelines, and each non-replicated member's timelines from the
+// call's member table.
 func (sc Scenario) materialize(st runStores) (
 	*cluster.Cluster, []dcsim.Arrival, []dcsim.Departure, map[int]power.Profile) {
 	c := cluster.New()
@@ -462,18 +521,17 @@ func (sc Scenario) materialize(st runStores) (
 				g.Kind, g.MemGB, g.VCPUs, gen)
 			v.TimerDriven = g.TimerDriven
 			src, ok := st.sources[gi]
+			tl := st.timelines[gi]
 			if !ok {
 				src = trace.NewSource(gen)
 			} else if !g.Replicated {
-				// The overlay's derivation must be exactly memberGen's:
-				// same seed, shift and jitter over the same base, which
-				// is what makes it bit-identical to a private memo.
-				src = src.Variant(g.Seed+uint64(i), memberShift(g, i), sc.jitterAmount())
+				src = sc.memberSource(src, g, i)
+				tl = st.members[sc.memberKey(gi, i)]
 			}
 			// The timeline seed is set unconditionally (it is inert at
 			// hourly resolution) so the same scenario produces the same
 			// bursts whether or not stores are shared.
-			v.Wire(src, st.timelines[gi], memberTimelineSeed(gi, g, i))
+			v.Wire(src, tl, memberTimelineSeed(gi, g, i))
 			vmID++
 			if at > sc.Start {
 				arrivals = append(arrivals, dcsim.Arrival{At: at, VM: v})

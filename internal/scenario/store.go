@@ -7,16 +7,22 @@ import (
 	"sync/atomic"
 )
 
-// StoreCache promotes the per-run shared activity and timeline memos to
-// server lifetime: a drowsyd process keeps one StoreCache, passes it to
-// every Run/RunSweep via Options.Stores, and all requests that
-// materialize the same workload structure read the same immutable
-// memos. Within one run the memos are already shared across every
-// policy cell and sweep point; the cache extends exactly that sharing
-// across requests, which is safe for the same reason — trace.Memo is an
-// append-only concurrent memo whose reads are bit-identical to direct
-// evaluation, so two concurrent requests racing on one memo can only
-// ever agree.
+// StoreCache promotes the per-call group memos — each workload group's
+// activity source and, at event resolution, each replicated group's
+// timeline memo — to server lifetime: a drowsyd process keeps one
+// StoreCache, passes it to every Run/RunSweep via Options.Stores, and
+// all requests that materialize the same workload structure read the
+// same immutable memos. Within one call the memos are already shared
+// across every policy cell and sweep point; the cache extends exactly
+// that sharing across requests, which is safe for the same reason —
+// trace.Memo is an append-only concurrent memo whose reads are
+// bit-identical to direct evaluation, so two concurrent requests racing
+// on one memo can only ever agree.
+//
+// It holds no member timelines. Options.stores builds those per call,
+// so they die with the job: cached, they would keep every
+// non-replicated member's bursts alive across jobs in a cache that
+// never evicts.
 //
 // Entries are keyed by the scenario's workload structure: family name,
 // start, horizon, resolution and every scalar field of every workload

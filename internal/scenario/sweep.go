@@ -385,10 +385,11 @@ func (r *SweepReport) WriteJSON(w io.Writer) error { return writeIndentedJSON(w,
 // RunSweep validates and executes a scenario's sweep axis: every
 // (sweep point × policy column) cell is an independent deterministic
 // simulation, fanned out over one worker pool spanning the whole grid.
-// Replicated-group trace stores are shared across all cells — sweep
-// parameters never alter workload traces of replicated groups, so every
-// point replays the same memo. Results are bit-identical at any worker
-// count.
+// Group trace stores are shared across all cells — sweep parameters
+// never alter a group's base trace, so every point replays the same
+// memo. Member timelines are shared across the cells of every point
+// that applies the same jitter amount. Results are bit-identical at
+// any worker count.
 func RunSweep(sc Scenario, opt Options) (*SweepReport, error) {
 	if !sc.Sweep.Enabled() {
 		return nil, fmt.Errorf("scenario %s: RunSweep without a sweep axis (use Run)", sc.Name)
@@ -423,7 +424,7 @@ func RunSweep(sc Scenario, opt Options) (*SweepReport, error) {
 			break
 		}
 	}
-	stores := opt.stores(storeSrc)
+	stores := opt.stores(storeSrc, points)
 	progress := opt.progressCounter(len(points) * len(cols))
 	outs := par.Map(opt.Workers, len(points)*len(cols), func(i int) cellOutcome {
 		res, err := runCell(points[i/len(cols)], i, cols[i%len(cols)], stores, nil, opt)

@@ -74,7 +74,7 @@ func TestServeMetrics(t *testing.T) {
 	// Every memo's chunk publications count, timeline memos included.
 	// The second run misses the result cache (another shard count) but
 	// finds the workload's shared activity memos warm, so only its
-	// per-VM timeline memos can move the counter.
+	// per-call member timeline memos can move the counter.
 	var before uint64
 	for _, extra := range []string{"", `,"shard_workers":2`} {
 		before = scrapeCounter(t, ts, "drowsydc_trace_chunk_publishes_total")

@@ -32,14 +32,31 @@ const SecondsPerHour = int(simtime.HourD)
 const MaxBurstsPerHour = 4
 
 // Burst is one active interval within an hour: the half-open second
-// range [Start, End) counted from the hour's first second.
+// range [Start, End) counted from the hour's first second. Every second
+// of an hour, SecondsPerHour included, fits in 16 bits.
 type Burst struct {
-	Start int
-	End   int
+	Start uint16
+	End   uint16
 }
 
 // Len returns the burst length in seconds.
-func (b Burst) Len() int { return b.End - b.Start }
+func (b Burst) Len() int { return int(b.End) - int(b.Start) }
+
+// Hour is one hour's burst timeline held inline: a count and a fixed
+// array, 18 bytes in all, so a memo chunk stores its hours flat and an
+// expansion allocates nothing.
+type Hour struct {
+	n uint8
+	b [MaxBurstsPerHour]Burst
+}
+
+// Bursts returns the hour's bursts, sorted and disjoint. The slice
+// aliases h and is capped at its length, so a caller's append copies
+// instead of writing into h (a memo's hours are read by many cells).
+func (h *Hour) Bursts() []Burst { return h.b[:h.n:h.n] }
+
+// fullHour is the timeline of a level at or above one.
+var fullHour = Hour{n: 1, b: [MaxBurstsPerHour]Burst{{0, uint16(SecondsPerHour)}}}
 
 // SplitMix64 is the deterministic hash primitive behind both timeline
 // expansion and trace noise (trace.hashUnit delegates here). Keeping
@@ -89,19 +106,19 @@ func unit(v uint64) float64 { return float64(v>>11) / float64(1<<53) }
 //
 // Expand is pure: the same (seed, h, level) always returns the same
 // timeline (see the package comment for why that matters).
-func Expand(seed uint64, h simtime.Hour, level float64) []Burst {
+func Expand(seed uint64, h simtime.Hour, level float64) Hour {
 	if !(level > 0) { // also catches NaN
-		return nil
+		return Hour{}
 	}
 	if level >= 1 {
-		return []Burst{{0, SecondsPerHour}}
+		return fullHour
 	}
 	busy := int(level*float64(SecondsPerHour) + 0.5)
 	if busy < 1 {
 		busy = 1
 	}
 	if busy >= SecondsPerHour {
-		return []Burst{{0, SecondsPerHour}}
+		return fullHour
 	}
 	idle := SecondsPerHour - busy
 	r := newRNG(seed, h)
@@ -117,21 +134,20 @@ func Expand(seed uint64, h simtime.Hour, level float64) []Burst {
 	n := 1 + int(r.next()%uint64(maxN))
 	// Partition the busy seconds into n burst lengths (base 1 each) and
 	// the idle seconds into n+1 gaps (base 1 for the n-1 inner gaps).
-	// Both fit fixed arrays, so the returned slice is the one allocation.
 	var burstExtra, gapExtra [MaxBurstsPerHour + 1]int
 	partition(burstExtra[:n], busy-n, &r)
 	partition(gapExtra[:n+1], idle-(n-1), &r)
-	bursts := make([]Burst, n)
+	out := Hour{n: uint8(n)}
 	pos := gapExtra[0]
 	for i := 0; i < n; i++ {
 		l := 1 + burstExtra[i]
-		bursts[i] = Burst{pos, pos + l}
+		out.b[i] = Burst{uint16(pos), uint16(pos + l)}
 		pos += l + gapExtra[i+1]
 		if i < n-1 {
 			pos++ // inner gaps carry a base second
 		}
 	}
-	return bursts
+	return out
 }
 
 // partition splits total seconds into len(parts) non-negative parts

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"drowsydc/internal/simtime"
 )
@@ -17,7 +18,8 @@ func TestExpandPartition(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		for h := simtime.Hour(0); h < 200; h += 7 {
 			for _, level := range levels {
-				bursts := Expand(seed, h, level)
+				hr := Expand(seed, h, level)
+				bursts := hr.Bursts()
 				wantBusy := int(level*float64(SecondsPerHour) + 0.5)
 				if wantBusy < 1 {
 					wantBusy = 1
@@ -31,14 +33,14 @@ func TestExpandPartition(t *testing.T) {
 				}
 				prevEnd := -1
 				for i, b := range bursts {
-					if b.Start < 0 || b.End > SecondsPerHour || b.Len() < 1 {
+					if int(b.End) > SecondsPerHour || b.Len() < 1 {
 						t.Fatalf("burst %d out of shape: %+v", i, b)
 					}
-					if i > 0 && b.Start <= prevEnd {
+					if i > 0 && int(b.Start) <= prevEnd {
 						t.Fatalf("burst %d overlaps or touches previous (%d <= %d)",
 							i, b.Start, prevEnd)
 					}
-					prevEnd = b.End
+					prevEnd = int(b.End)
 				}
 			}
 		}
@@ -62,28 +64,32 @@ func TestExpandPure(t *testing.T) {
 
 // TestExpandEdges covers the degenerate levels.
 func TestExpandEdges(t *testing.T) {
-	if got := Expand(1, 5, 0); got != nil {
-		t.Fatalf("level 0: %v, want nil", got)
+	bursts := func(level float64) []Burst {
+		hr := Expand(1, 5, level)
+		return hr.Bursts()
 	}
-	if got := Expand(1, 5, -0.5); got != nil {
-		t.Fatalf("negative level: %v, want nil", got)
+	if got := bursts(0); len(got) != 0 {
+		t.Fatalf("level 0: %v, want no bursts", got)
 	}
-	if got := Expand(1, 5, math.NaN()); got != nil {
-		t.Fatalf("NaN level: %v, want nil", got)
+	if got := bursts(-0.5); len(got) != 0 {
+		t.Fatalf("negative level: %v, want no bursts", got)
 	}
-	full := []Burst{{0, SecondsPerHour}}
-	if got := Expand(1, 5, 1); !reflect.DeepEqual(got, full) {
+	if got := bursts(math.NaN()); len(got) != 0 {
+		t.Fatalf("NaN level: %v, want no bursts", got)
+	}
+	full := []Burst{{0, uint16(SecondsPerHour)}}
+	if got := bursts(1); !reflect.DeepEqual(got, full) {
 		t.Fatalf("level 1: %v, want full hour", got)
 	}
-	if got := Expand(1, 5, 2.5); !reflect.DeepEqual(got, full) {
+	if got := bursts(2.5); !reflect.DeepEqual(got, full) {
 		t.Fatalf("level > 1: %v, want full hour", got)
 	}
 	// A level rounding to the full hour collapses to one burst.
-	if got := Expand(1, 5, 0.99999); !reflect.DeepEqual(got, full) {
+	if got := bursts(0.99999); !reflect.DeepEqual(got, full) {
 		t.Fatalf("level ~1: %v, want full hour", got)
 	}
 	// A tiny positive level still yields one one-second burst.
-	if got := Expand(1, 5, 1e-9); BusySeconds(got) != 1 || len(got) != 1 {
+	if got := bursts(1e-9); BusySeconds(got) != 1 || len(got) != 1 {
 		t.Fatalf("tiny level: %v, want one 1 s burst", got)
 	}
 }
@@ -110,16 +116,15 @@ func TestUnion(t *testing.T) {
 	}
 	// Union of a host's per-VM expansions never exceeds the hour and
 	// stays sorted/disjoint.
-	lists := [][]Burst{
-		Expand(1, 7, 0.3), Expand(2, 7, 0.5), Expand(3, 7, 0.1),
-	}
+	hours := []Hour{Expand(1, 7, 0.3), Expand(2, 7, 0.5), Expand(3, 7, 0.1)}
+	lists := [][]Burst{hours[0].Bursts(), hours[1].Bursts(), hours[2].Bursts()}
 	merged := Union(nil, lists...)
 	prevEnd := -1
 	for _, b := range merged {
-		if b.Start <= prevEnd || b.End > SecondsPerHour || b.Len() < 1 {
+		if int(b.Start) <= prevEnd || int(b.End) > SecondsPerHour || b.Len() < 1 {
 			t.Fatalf("merged interval out of shape: %v", merged)
 		}
-		prevEnd = b.End
+		prevEnd = int(b.End)
 	}
 }
 
@@ -144,20 +149,28 @@ func TestMixSeed(t *testing.T) {
 }
 
 // TestExpandAllocatesOnlyResult: an interior level (a timeline with
-// gaps) costs exactly one allocation, the returned slice — the burst
+// gaps) allocates nothing — the result is an inline Hour, and the burst
 // and gap partitions live in fixed arrays.
 func TestExpandAllocatesOnlyResult(t *testing.T) {
 	for _, level := range []float64{0.0003, 0.05, 0.3, 0.5, 0.9, 0.9995} {
 		h := simtime.Hour(0)
 		n := testing.AllocsPerRun(200, func() {
 			h++
-			if bs := Expand(0xfeed, h, level); len(bs) == 0 {
+			if hr := Expand(0xfeed, h, level); len(hr.Bursts()) == 0 {
 				t.Fatal("interior level expanded to no bursts")
 			}
 		})
-		if n != 1 {
-			t.Errorf("Expand(level %v) allocates %v times, want 1", level, n)
+		if n != 0 {
+			t.Errorf("Expand(level %v) allocates %v times, want 0", level, n)
 		}
+	}
+}
+
+// TestHourFootprint pins the inline hour at 18 bytes — a count and four
+// 4-byte bursts — so a memo chunk of 64 hours holds 1,152 bytes.
+func TestHourFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Hour{}); got != 18 {
+		t.Fatalf("timeline.Hour is %d bytes, want 18", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,8 +17,9 @@ import (
 // transition hour too. Both are pure functions of the hour (see Func
 // and timeline.Expand), so one memo type serves them all: a private
 // memo per VM, a store shared by a replicated population across
-// concurrently running policy cells, and the base store a
-// non-replicated group's members overlay (see Source).
+// concurrently running policy cells, the base store a non-replicated
+// group's members overlay (see Source), and a non-replicated member's
+// timelines shared by the cells of one scenario call.
 
 // chunkBits sets the chunk length to 2^6 = 64 hours. A chunk is
 // computed whole on first touch, so a longer chunk expands hours
@@ -48,9 +50,10 @@ const (
 // so its error surfaces exactly as without the memo.
 type Memo[T any] struct {
 	fill func(simtime.Hour) T
-	// seed is the expansion seed of a timeline memo (see NewTimelines);
-	// zero for every other memo.
+	// seed and src are the expansion seed and the activity source of a
+	// timeline memo (see NewTimelines); zero for every other memo.
 	seed  uint64
+	src   Source
 	mu    sync.Mutex
 	table atomic.Pointer[[]atomic.Pointer[[chunkLen]T]]
 }
@@ -67,13 +70,31 @@ func (m *Memo[T]) At(h simtime.Hour) T {
 	if h < 0 {
 		return m.fill(h)
 	}
+	return m.chunk(h)[h&(chunkLen-1)]
+}
+
+// Ref is At by reference: it points into the published chunk, which is
+// immutable, so the caller must not write through it. It spares large
+// values (a timeline.Hour) a copy per read. A negative hour points at a
+// fresh evaluation of the fill.
+func (m *Memo[T]) Ref(h simtime.Hour) *T {
+	if h < 0 {
+		v := m.fill(h)
+		return &v
+	}
+	return &m.chunk(h)[h&(chunkLen-1)]
+}
+
+// chunk returns the published chunk holding hour h ≥ 0, computing and
+// publishing it on first touch.
+func (m *Memo[T]) chunk(h simtime.Hour) *[chunkLen]T {
 	ci := int(h >> chunkBits)
 	if t := m.table.Load(); t != nil && ci < len(*t) {
 		if c := (*t)[ci].Load(); c != nil {
-			return c[h&(chunkLen-1)]
+			return c
 		}
 	}
-	return m.publish(ci)[h&(chunkLen-1)]
+	return m.publish(ci)
 }
 
 // publishes counts chunk publications across every memo in the process
@@ -119,14 +140,25 @@ func (m *Memo[T]) publish(ci int) *[chunkLen]T {
 // reports.
 func (m *Memo[T]) Seed() uint64 { return m.seed }
 
+// Expands reports whether a memo built by NewTimelines expands src's
+// levels: its source reads the same base memo through the same overlay
+// seed, shift and jitter amount. Sources are pure, so two that agree
+// on all four read bit-identical levels. VM wiring checks it.
+func (m *Memo[T]) Expands(src Source) bool {
+	a, b := m.src, src
+	return a.base == b.base && a.seed == b.seed && a.shift == b.shift &&
+		math.Float64bits(a.amount) == math.Float64bits(b.amount)
+}
+
 // NewTimelines returns the memo of src's within-hour burst timelines
 // expanded with seed: hour h holds timeline.Expand(seed, h,
-// src.Activity(h)), so timelines and levels can never disagree.
-func NewTimelines(seed uint64, src Source) *Memo[[]timeline.Burst] {
-	m := newMemo(func(h simtime.Hour) []timeline.Burst {
+// src.Activity(h)), so timelines and levels can never disagree. A
+// chunk holds its 64 hours inline, 1,152 bytes; read them through Ref.
+func NewTimelines(seed uint64, src Source) *Memo[timeline.Hour] {
+	m := newMemo(func(h simtime.Hour) timeline.Hour {
 		return timeline.Expand(seed, h, src.Activity(h))
 	})
-	m.seed = seed
+	m.seed, m.src = seed, src
 	return m
 }
 

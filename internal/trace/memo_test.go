@@ -120,7 +120,8 @@ func TestVariantMemoBitIdenticalToPrivate(t *testing.T) {
 
 // TestTimelineMemoMatchesDirect checks burst-timeline memos, over a
 // private source and over a member overlay, against timeline.Expand of
-// the directly evaluated level.
+// the directly evaluated level, read by value (At) and by reference
+// (Ref), which points into the published chunk.
 func TestTimelineMemoMatchesDirect(t *testing.T) {
 	g := RealTrace(1)
 	base := NewSource(g)
@@ -138,11 +139,17 @@ func TestTimelineMemoMatchesDirect(t *testing.T) {
 		if m.Seed() != seed {
 			t.Fatalf("%s: memo seed %#x, want %#x", tc.name, m.Seed(), seed)
 		}
-		direct := func(h simtime.Hour) []timeline.Burst {
+		direct := func(h simtime.Hour) timeline.Hour {
 			return timeline.Expand(seed, h, tc.direct.Activity(h))
 		}
-		if err := exact(m.At, direct, testHours); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+		ref := func(h simtime.Hour) timeline.Hour { return *m.Ref(h) }
+		for name, read := range map[string]func(simtime.Hour) timeline.Hour{"At": m.At, "Ref": ref} {
+			if err := exact(read, direct, testHours); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
+			}
+		}
+		if m.Ref(100) != m.Ref(100) {
+			t.Fatalf("%s: two reads of one hour point at different values", tc.name)
 		}
 	}
 }
@@ -164,7 +171,7 @@ func TestSharedConcurrentReaders(t *testing.T) {
 		{"activity", func(hs []simtime.Hour) error { return exact(base.base.At, g.Activity, hs) }},
 		{"overlay", func(hs []simtime.Hour) error { return exact(member.Activity, variant.Activity, hs) }},
 		{"timelines", func(hs []simtime.Hour) error {
-			return exact(timelines.At, func(h simtime.Hour) []timeline.Burst {
+			return exact(timelines.At, func(h simtime.Hour) timeline.Hour {
 				return timeline.Expand(9, h, variant.Activity(h))
 			}, hs)
 		}},
@@ -299,9 +306,9 @@ func TestSharedTimelineMatchesDirect(t *testing.T) {
 	hours := []simtime.Hour{0, 13, chunkLen - 1, chunkLen, 511, 512, 599, 600, 1000,
 		3*simtime.HoursPerYear + 1}
 	for pass := 0; pass < 2; pass++ {
-		for _, m := range []*Memo[[]timeline.Burst]{a, b} {
+		for _, m := range []*Memo[timeline.Hour]{a, b} {
 			seed := m.Seed()
-			direct := func(h simtime.Hour) []timeline.Burst { return timeline.Expand(seed, h, g.Activity(h)) }
+			direct := func(h simtime.Hour) timeline.Hour { return timeline.Expand(seed, h, g.Activity(h)) }
 			if err := exact(m.At, direct, hours); err != nil {
 				t.Fatalf("seed %#x pass %d: %v", seed, pass, err)
 			}
@@ -326,7 +333,7 @@ func TestSharedTimelineMatchesDirect(t *testing.T) {
 func TestSharedTimelineConcurrentReaders(t *testing.T) {
 	g := RealTrace(2)
 	st := NewTimelines(0x77, NewSource(g))
-	direct := func(h simtime.Hour) []timeline.Burst { return timeline.Expand(0x77, h, g.Activity(h)) }
+	direct := func(h simtime.Hour) timeline.Hour { return timeline.Expand(0x77, h, g.Activity(h)) }
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -350,7 +357,7 @@ func TestSharedTimelineConcurrentReaders(t *testing.T) {
 // neither read publishes a chunk.
 func TestTimelineMemoNegativeHour(t *testing.T) {
 	before := PublishCount()
-	m := newMemo(func(h simtime.Hour) []timeline.Burst { return timeline.Expand(7, h, 0.5) })
+	m := newMemo(func(h simtime.Hour) timeline.Hour { return timeline.Expand(7, h, 0.5) })
 	if got, want := m.At(-5), timeline.Expand(7, -5, 0.5); !reflect.DeepEqual(got, want) {
 		t.Fatalf("negative hour: memo %v, direct %v", got, want)
 	}
@@ -359,7 +366,7 @@ func TestTimelineMemoNegativeHour(t *testing.T) {
 	if _, p := outcome(tl.At, -5); p == nil {
 		t.Fatal("negative hour through a source's timelines did not panic")
 	}
-	direct := func(h simtime.Hour) []timeline.Burst { return timeline.Expand(7, h, g.Activity(h)) }
+	direct := func(h simtime.Hour) timeline.Hour { return timeline.Expand(7, h, g.Activity(h)) }
 	if err := exact(tl.At, direct, []simtime.Hour{-5, -1}); err != nil {
 		t.Fatal(err)
 	}
