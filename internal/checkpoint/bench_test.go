@@ -23,7 +23,7 @@ func syntheticRunState(vms int) *RunState {
 	}
 	st := &RunState{
 		Hour: 504, HorizonHours: 744,
-		Policy: "drowsy", PolicyState: []byte{1, 2, 3, 4},
+		Policy: "drowsy",
 		VMs:    make([]VMState, vms),
 		Hosts:  make([]HostState, hosts),
 		Shards: make([]ShardState, 8),
@@ -45,8 +45,7 @@ func syntheticRunState(vms int) *RunState {
 			ID: int32(i), VMIDs: ids, PState: uint8(i % 5), Since: float64(i),
 			Util: 0.42, Joules: 1e6 + float64(i), StateJoules: [5]float64{1, 2, 3, 4, 5},
 			SuspSecs: 3600, OffSecs: 60, TotalRef: 2e6, Transits: 12, Resumes: 4,
-			GraceUntil: 510, Decisions: 100, VetoGrace: 3, VetoBusy: 7,
-			ResumedAt: 490, HasWake: i%3 == 0, WakeAt: 520,
+			GraceUntil: 510, ResumedAt: 490, HasWake: i%3 == 0, WakeAt: 520,
 		}
 		st.NetSerials[i] = uint64(i * 11)
 	}

@@ -12,12 +12,11 @@ import (
 // length-prefixed variable sections. The encoding is a deterministic
 // function of the RunState (no maps are walked), so capture → restore →
 // capture is byte-stable — the property the resume bit-identity gate
-// builds on. Version 2 appends the departed-VM section; version-1
-// blobs, which end after the migration ledger, still decode (with no
-// departed VMs) and re-encode as version 2.
+// builds on. A build decodes only the version it writes (see the
+// package doc).
 const (
 	stateMagic   = 0x44724350 // "DrCP"
-	stateVersion = 2
+	stateVersion = 3
 	// maxSection caps any single length prefix a decoder will honor.
 	// Checkpoint bytes come from disk; a corrupt length must produce an
 	// error, not an attempted multi-gigabyte allocation.
@@ -34,7 +33,6 @@ func Encode(st *RunState) []byte {
 	w.i64(st.StartHour)
 	w.i64(st.HorizonHours)
 	w.bytes16([]byte(st.Policy))
-	w.bytes32(st.PolicyState)
 	w.u32(uint32(len(st.VMs)))
 	for i := range st.VMs {
 		v := &st.VMs[i]
@@ -66,9 +64,6 @@ func Encode(st *RunState) []byte {
 		w.i64(h.Resumes)
 		w.i64(h.GraceUntil)
 		w.bool8(h.MonSuspended)
-		w.u64(h.Decisions)
-		w.u64(h.VetoGrace)
-		w.u64(h.VetoBusy)
 		w.i64(h.ResumedAt)
 		w.bool8(h.HasWake)
 		w.i64(h.WakeAt)
@@ -107,21 +102,22 @@ func Encode(st *RunState) []byte {
 
 // Fixed byte counts of Encode's layout. fixedLen is everything outside
 // the VM, host and shard entries and the variable-length sections: the
-// magic, the version, the three hours, the policy name's and policy
-// state's length prefixes, the VM, host and shard counts, the net flag,
-// the migration ledger and the departed-VM count. vmLen, hostLen and
-// shardLen are one entry without its model, VM IDs or latency samples.
+// magic, the version, the three hours, the policy name's length prefix,
+// the VM, host and shard counts, the net flag, the migration ledger and
+// the departed-VM count. vmLen, hostLen and shardLen are one entry
+// without its model, VM IDs or latency samples: the least bytes an
+// entry takes, which also bounds each count Decode accepts.
 const (
-	fixedLen = 4 + 4 + 3*8 + 2 + 4 + 3*4 + 1 + 2*8 + 4
+	fixedLen = 4 + 4 + 3*8 + 2 + 3*4 + 1 + 2*8 + 4
 	vmLen    = 4 + 4 + 1 + 8 + 4
-	hostLen  = 4 + 4 + 1 + 3*8 + 5*8 + 3*8 + 2*8 + 8 + 1 + 3*8 + 8 + 1 + 8
+	hostLen  = 4 + 4 + 1 + 3*8 + 5*8 + 3*8 + 2*8 + 8 + 1 + 8 + 1 + 8
 	shardLen = 4 + 4 + 9*8
 )
 
 // encodedLen returns the exact length of Encode(st). It mirrors Encode
 // section by section; TestEncodeExactLength checks the two agree.
 func encodedLen(st *RunState) int {
-	n := fixedLen + len(st.Policy) + len(st.PolicyState) + 8*len(st.Departed)
+	n := fixedLen + len(st.Policy) + 8*len(st.Departed)
 	for i := range st.VMs {
 		n += vmLen + len(st.VMs[i].Model)
 	}
@@ -137,8 +133,8 @@ func encodedLen(st *RunState) int {
 	return n
 }
 
-// Decode deserializes a RunState, rejecting truncation, bad magic,
-// unknown versions, malformed sections and trailing garbage with
+// Decode deserializes a RunState, rejecting truncation, bad magic, any
+// version but this build's, malformed sections and trailing garbage with
 // descriptive errors. It never panics on any input.
 func Decode(data []byte) (*RunState, error) {
 	r := &stateReader{data: data}
@@ -153,7 +149,7 @@ func Decode(data []byte) (*RunState, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != 1 && version != stateVersion {
+	if version != stateVersion {
 		return nil, fmt.Errorf("checkpoint: unsupported state version %d (have %d)", version, stateVersion)
 	}
 	st := &RunState{}
@@ -171,10 +167,7 @@ func Decode(data []byte) (*RunState, error) {
 		return nil, err
 	}
 	st.Policy = string(pol)
-	if st.PolicyState, err = r.bytes32("policy state"); err != nil {
-		return nil, err
-	}
-	nvm, err := r.count("VM count", 18)
+	nvm, err := r.count("VM count", vmLen)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +192,7 @@ func Decode(data []byte) (*RunState, error) {
 			return nil, err
 		}
 	}
-	nh, err := r.count("host count", 140)
+	nh, err := r.count("host count", hostLen)
 	if err != nil {
 		return nil, err
 	}
@@ -264,15 +257,6 @@ func Decode(data []byte) (*RunState, error) {
 		if h.MonSuspended, err = r.bool8("host monitor flag"); err != nil {
 			return nil, err
 		}
-		if h.Decisions, err = r.u64("host decisions"); err != nil {
-			return nil, err
-		}
-		if h.VetoGrace, err = r.u64("host grace vetoes"); err != nil {
-			return nil, err
-		}
-		if h.VetoBusy, err = r.u64("host busy vetoes"); err != nil {
-			return nil, err
-		}
 		if h.ResumedAt, err = r.i64("host resumed-at"); err != nil {
 			return nil, err
 		}
@@ -283,7 +267,7 @@ func Decode(data []byte) (*RunState, error) {
 			return nil, err
 		}
 	}
-	ns, err := r.count("shard count", 80)
+	ns, err := r.count("shard count", shardLen)
 	if err != nil {
 		return nil, err
 	}
@@ -349,22 +333,20 @@ func Decode(data []byte) (*RunState, error) {
 	if st.MigrationSecs, err = r.f64("migration seconds"); err != nil {
 		return nil, err
 	}
-	if version >= 2 {
-		nd, err := r.count("departed VM count", 8)
-		if err != nil {
+	nd, err := r.count("departed VM count", 8)
+	if err != nil {
+		return nil, err
+	}
+	if nd > 0 {
+		st.Departed = make([]DepartedVM, nd)
+	}
+	for i := range st.Departed {
+		d := &st.Departed[i]
+		if d.ID, err = r.i32("departed VM ID"); err != nil {
 			return nil, err
 		}
-		if nd > 0 {
-			st.Departed = make([]DepartedVM, nd)
-		}
-		for i := range st.Departed {
-			d := &st.Departed[i]
-			if d.ID, err = r.i32("departed VM ID"); err != nil {
-				return nil, err
-			}
-			if d.Migrations, err = r.i32("departed VM migrations"); err != nil {
-				return nil, err
-			}
+		if d.Migrations, err = r.i32("departed VM migrations"); err != nil {
+			return nil, err
 		}
 	}
 	if r.off != len(r.data) {

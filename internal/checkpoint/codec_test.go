@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
-	"os"
 	"reflect"
 	"testing"
 
@@ -12,15 +11,14 @@ import (
 
 // sampleState builds a representative RunState exercising every
 // section: multiple VMs with and without timers, hosts in every power
-// state, two shards with latency multisets, net serials and policy
-// state.
+// state, two shards with latency multisets, net serials and departed
+// VMs.
 func sampleState() *RunState {
 	return &RunState{
 		Hour:         744,
 		StartHour:    0,
 		HorizonHours: 2160,
 		Policy:       "drowsy",
-		PolicyState:  []byte{1, 2, 3, 4},
 		VMs: []VMState{
 			{ID: 0, Migrations: 3, HasTimer: true, TimerAt: 2680000, Model: []byte{9, 8, 7}},
 			{ID: 1, Migrations: 0, HasTimer: false, Model: nil},
@@ -31,13 +29,12 @@ func sampleState() *RunState {
 				ID: 0, VMIDs: []int32{1, 0}, PState: 0, Since: 2678400.5, Util: 0.25,
 				Joules: 1.5e8, StateJoules: [5]float64{1e8, 2e7, 1e7, 5e6, 0},
 				SuspSecs: 3600, OffSecs: 0, TotalRef: 0, Transits: 12, Resumes: 12,
-				GraceUntil: 2678500, MonSuspended: false, Decisions: 500, VetoGrace: 20,
-				VetoBusy: 100, ResumedAt: 2678401, HasWake: false,
+				GraceUntil: 2678500, MonSuspended: false, ResumedAt: 2678401, HasWake: false,
 			},
 			{
 				ID: 1, VMIDs: []int32{7}, PState: 2, Since: 2000000, Util: 0,
 				Joules: 9e7, SuspSecs: 600000, TotalRef: 0, Transits: 4, Resumes: 3,
-				MonSuspended: true, Decisions: 400, ResumedAt: 1999000,
+				MonSuspended: true, ResumedAt: 1999000,
 				HasWake: true, WakeAt: 2685600,
 			},
 			{ID: 2, VMIDs: nil, PState: 4, Since: 100, Joules: 50},
@@ -73,39 +70,6 @@ func TestStateRoundTrip(t *testing.T) {
 	// Re-encode must be byte-stable (capture → restore → capture).
 	if !bytes.Equal(data, Encode(got)) {
 		t.Fatal("re-encode of decoded state differs")
-	}
-}
-
-// TestDecodeVersion1 pins a version-1 blob: sampleState as the
-// version-1 encoder wrote it, before the departed-VM section existed.
-// It still decodes, with no departed VMs, and re-encodes as the
-// current version.
-func TestDecodeVersion1(t *testing.T) {
-	data, err := os.ReadFile("testdata/state-v1.drcp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != 1 {
-		t.Fatalf("fixture is version %d, want 1", v)
-	}
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sampleState()
-	want.Departed = nil
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("version-1 decode mismatch:\nwant: %+v\n got: %+v", want, got)
-	}
-	again, err := Decode(Encode(got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, again) {
-		t.Fatal("version-1 state does not survive a current-version round trip")
-	}
-	if v := binary.LittleEndian.Uint32(Encode(got)[4:]); v != stateVersion {
-		t.Fatalf("re-encoded as version %d, want %d", v, stateVersion)
 	}
 }
 
@@ -148,17 +112,40 @@ func TestDecodeRejections(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"bad magic":        mutate(func(b []byte) { b[0] = 0xFF }),
-		"future version":   mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 99) }),
+		"future version":   mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], stateVersion+1) }),
+		"version 1":        mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 1) }),
+		"version 2":        mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 2) }),
 		"trailing garbage": append(append([]byte(nil), good...), 0xAB),
 		"giant VM count": mutate(func(b []byte) {
-			// VM count sits after header(8) + 3×i64 + name(2+6) + policy state(4+4).
-			off := 8 + 24 + 2 + len("drowsy") + 4 + 4
+			// VM count sits after header(8) + 3×i64 + name(2+6).
+			off := 8 + 24 + 2 + len("drowsy")
 			binary.LittleEndian.PutUint32(b[off:], 0xFFFFFFF0)
 		}),
 	}
 	for name, data := range cases {
 		if _, err := Decode(data); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestDecodeMinimalEntries: Decode bounds each count by the least bytes
+// one entry takes, so an encoding of 200 entries that take exactly that
+// many decodes, with the section last before a short tail: VMs without
+// models, hosts without residents (in one shard) and shards without
+// latency samples.
+func TestDecodeMinimalEntries(t *testing.T) {
+	for name, st := range map[string]*RunState{
+		"VMs":    {Policy: "drowsy", VMs: make([]VMState, 200)},
+		"hosts":  {Policy: "drowsy", Hosts: make([]HostState, 200), Shards: make([]ShardState, 1)},
+		"shards": {Policy: "drowsy", Shards: make([]ShardState, 200)},
+	} {
+		got, err := Decode(Encode(st))
+		if err != nil {
+			t.Fatalf("200 minimal %s: %v", name, err)
+		}
+		if !reflect.DeepEqual(st, got) {
+			t.Fatalf("200 minimal %s: round trip mismatch", name)
 		}
 	}
 }

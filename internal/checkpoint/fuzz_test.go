@@ -2,21 +2,18 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"os"
-	"reflect"
 	"testing"
 )
 
-// FuzzCheckpointDecode drives Decode with arbitrary bytes: it must
-// never panic, and any accepted current-version input must re-encode to
-// exactly the bytes that were decoded (the codec has no redundant
-// encodings, so decode∘encode is the identity on valid data). An
-// accepted version-1 input re-encodes as the current version, which
-// must decode to the same state.
+// FuzzCheckpointDecode drives Decode with arbitrary bytes, seeded from
+// the sample state and dcsim's resume fixture: it must never panic, and
+// any accepted input must re-encode to exactly the bytes that were
+// decoded (the codec has no redundant encodings, so decode∘encode is
+// the identity on valid data).
 func FuzzCheckpointDecode(f *testing.F) {
 	good := Encode(sampleState())
-	v1, err := os.ReadFile("testdata/state-v1.drcp")
+	spill, err := os.ReadFile("../dcsim/testdata/resume-v3.drcp")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -25,7 +22,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(good[:8])
 	f.Add(good[:len(good)-1])
-	f.Add(v1)
+	f.Add(spill)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
 		if err != nil {
@@ -37,16 +34,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			return
 		}
-		enc := Encode(st)
-		if binary.LittleEndian.Uint32(data[4:]) == stateVersion {
-			if !bytes.Equal(enc, data) {
-				t.Fatal("accepted input does not re-encode to itself")
-			}
-			return
-		}
-		again, err := Decode(enc)
-		if err != nil || !reflect.DeepEqual(again, st) {
-			t.Fatalf("version-1 input does not survive re-encoding: %v", err)
+		if !bytes.Equal(Encode(st), data) {
+			t.Fatal("accepted input does not re-encode to itself")
 		}
 	})
 }

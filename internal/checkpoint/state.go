@@ -16,6 +16,13 @@
 // No policy state is captured: the one hour of host utilization Neat's
 // overload detector reads is rebuilt on resume by replaying the hourly
 // recorder's last call.
+//
+// A run checkpoint is encoded as DrCP version 3, its models as core
+// codec version 4, and a build decodes only those versions. A checkpoint
+// lives only while its job is in flight, and drowsyd names each spill
+// after a key that carries the build's version, so no build opens a
+// spill another build wrote; one it cannot decode is deleted and its
+// cell recomputed.
 package checkpoint
 
 import "drowsydc/internal/metrics"
@@ -35,11 +42,6 @@ type RunState struct {
 	HorizonHours int64
 	// Policy is the policy's Name().
 	Policy string
-	// PolicyState is empty in every state dcsim captures: no policy
-	// checkpoints state. The field keeps its place so v1 and v2 blobs
-	// keep their layout; a blob from an older build may carry one, and
-	// resume refuses it.
-	PolicyState []byte
 	// VMs holds one entry per live VM in the cluster registry's exact
 	// iteration order at the boundary — the order is policy-visible, so
 	// it must be reproduced, not reconstructed.
@@ -104,15 +106,9 @@ type HostState struct {
 	Transits    int64
 	Resumes     int64
 
-	// Suspend monitor (suspend.MonitorState). The simulation runtime
-	// never vetoes a check, so a captured VetoGrace and VetoBusy read
-	// 0: it checks at the grace bound, and its hosts always report idle
-	// (scenario's TestSuspendChecksNeverVeto).
+	// Suspend monitor (suspend.MonitorState).
 	GraceUntil   int64
 	MonSuspended bool
-	Decisions    uint64
-	VetoGrace    uint64
-	VetoBusy     uint64
 
 	// Runtime fields: the host's resume instant and its pending
 	// scheduled waking date, if any.

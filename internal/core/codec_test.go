@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"drowsydc/internal/simtime"
+	"drowsydc/internal/trace"
 )
 
 // modelsEqual compares the observable surface of two models over a span
@@ -38,50 +40,76 @@ func encode(t testing.TB, m *Model) []byte {
 	return data
 }
 
-// marshalDense is the version-1 encoder: SI_m and all 12 SI_y rows
-// written in full, an unallocated one as zeros, between the fixed
-// scores and the tail every version shares. Only tests write version 1
-// now, to pin that the decoder still reads it.
-func (m *Model) marshalDense(t testing.TB) []byte {
-	v3 := encode(t, m)
-	buf := binary.LittleEndian.AppendUint32(nil, codecMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, codecVersionDense)
-	buf = append(buf, v3[8:8+8*fixedScores]...)
-	for _, row := range append([]*SIMonth{m.SIm}, m.SIy[:]...) {
-		if row == nil {
-			row = new(SIMonth)
-		}
-		buf = appendMonth(buf, row)
+// shortModel is a model observed for 178 hours under a read horizon of
+// 200: it keeps the week rows of the days observed at least a week
+// before the horizon, Monday's and Tuesday's, and leaves the other five
+// and every month table nil.
+func shortModel() *Model {
+	m := New()
+	g := trace.RealTrace(1)
+	for h := simtime.Hour(0); h < 178; h++ {
+		ObserveColumn(simtime.Decompose(h), []*Model{m}, []float64{g.Activity(h)}, 200)
 	}
-	return append(buf, v3[len(v3)-8*tailValues:]...)
+	return m
 }
 
-// readModelV2 returns testdata/model-v2.bin: trainedModel(45*24) as the
-// version-2 encoder wrote it. It holds SI_m and the January and
-// February SI_y rows.
-func readModelV2(t testing.TB) []byte {
+// readModelFixtures returns the two models of testdata/model-v4.bin,
+// which holds trainedModel(45*24) and shortModel() back to back, as
+// this version's encoder wrote them. The first one's bitmap gives its
+// length.
+func readModelFixtures(t testing.TB) [2][]byte {
 	t.Helper()
-	data, err := os.ReadFile("testdata/model-v2.bin")
+	data, err := os.ReadFile("testdata/model-v4.bin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != codecVersionSparse {
-		t.Fatalf("fixture is version %d, want %d", v, codecVersionSparse)
+	if len(data) < headerLen {
+		t.Fatalf("fixture of %d bytes", len(data))
 	}
-	return data
+	n := encodedLen(binary.LittleEndian.Uint32(data[headerLen-4:]))
+	if n > len(data) {
+		t.Fatalf("first fixture model of %d bytes in a %d-byte file", n, len(data))
+	}
+	return [2][]byte{data[:n:n], data[n:]}
 }
 
-// TestCodecSparseRoundTrip pins the version-3 sparse format: a model
-// trained over a partial year round-trips exactly and costs far less
-// than the dense layout.
+// tablesEqual reports whether a and b allocate the same SI_w rows, SI_m
+// and SI_y rows and hold the same bits in them and in SI_d.
+func tablesEqual(a, b *Model) bool {
+	var bufA, bufB tableRows
+	for tb := range numTables {
+		ra, rb := a.rows(tb, &bufA), b.rows(tb, &bufB)
+		if len(ra) != len(rb) {
+			return false
+		}
+		for i := range ra {
+			if !slices.Equal(bitsOf(ra[i]), bitsOf(rb[i])) {
+				return false
+			}
+		}
+	}
+	return slices.Equal(bitsOf(a.SId[:]), bitsOf(b.SId[:]))
+}
+
+func bitsOf(scores []float64) []uint64 {
+	out := make([]uint64, len(scores))
+	for i, v := range scores {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestCodecSparseRoundTrip pins the sparse format: a model trained over
+// a partial year round-trips exactly and costs only its stored tables,
+// here the 7 SI_w rows, SI_m and two SI_y months.
 func TestCodecSparseRoundTrip(t *testing.T) {
 	m := trainedModel(45 * 24) // spans two months of SI_y
 	data := encode(t, m)
 	if v := binary.LittleEndian.Uint32(data[4:]); v != codecVersion {
 		t.Fatalf("encoded as version %d, want %d", v, codecVersion)
 	}
-	if dense := m.marshalDense(t); len(data) >= len(dense) {
-		t.Fatalf("sparse encoding (%d bytes) not smaller than dense (%d bytes)", len(data), len(dense))
+	if want := 292 + 7*192 + 3*5952; len(data) != want {
+		t.Fatalf("encoded %d bytes, want %d", len(data), want)
 	}
 	var got Model
 	if err := got.UnmarshalBinary(data); err != nil {
@@ -90,41 +118,29 @@ func TestCodecSparseRoundTrip(t *testing.T) {
 	modelsEqual(t, m, &got, simtime.HoursPerYear)
 }
 
-// TestCodecDenseCompat pins backward compatibility: version-1 bytes
-// decode to the same model the sparse path produces.
-func TestCodecDenseCompat(t *testing.T) {
-	m := trainedModel(40 * 24)
-	var got Model
-	if err := got.UnmarshalBinary(m.marshalDense(t)); err != nil {
-		t.Fatal(err)
-	}
-	modelsEqual(t, m, &got, simtime.HoursPerYear)
-	if !bytes.Equal(encode(t, &got), encode(t, m)) {
-		t.Fatal("a version-1 model re-encodes differently from the original")
-	}
-}
-
-// TestCodecVersion2Fixture pins version 2 against bytes the version-2
-// encoder wrote: the fixture decodes to the model it was made from,
-// tables and all, and re-encodes as exactly that model's version-3
-// bytes.
-func TestCodecVersion2Fixture(t *testing.T) {
-	m := trainedModel(45 * 24)
-	var got Model
-	if err := got.UnmarshalBinary(readModelV2(t)); err != nil {
-		t.Fatal(err)
-	}
-	modelsEqual(t, m, &got, simtime.HoursPerYear)
-	if got.SIm == nil || *got.SIm != *m.SIm {
-		t.Fatal("SI_m lost in the version-2 decode")
-	}
-	for mo := range got.SIy {
-		if (got.SIy[mo] == nil) != (mo > 1) {
-			t.Fatalf("SI_y month %d allocated = %v, want months 0 and 1 only", mo, got.SIy[mo] != nil)
+// TestCodecVersion4Fixture pins the format against bytes this version's
+// encoder wrote: each model of testdata/model-v4.bin decodes to the
+// freshly trained model it was made from, tables, IPs and counters
+// alike, and re-encodes to exactly its own bytes. A layout change
+// without a version bump, or a change to the training arithmetic,
+// fails here.
+func TestCodecVersion4Fixture(t *testing.T) {
+	fixtures := readModelFixtures(t)
+	for i, m := range []*Model{trainedModel(45 * 24), shortModel()} {
+		var got Model
+		if err := got.UnmarshalBinary(fixtures[i]); err != nil {
+			t.Fatal(err)
+		}
+		modelsEqual(t, m, &got, simtime.HoursPerYear)
+		if !tablesEqual(m, &got) || got.W != m.W {
+			t.Fatalf("fixture model %d: tables or weights differ from the trained model's", i)
+		}
+		if !bytes.Equal(encode(t, &got), fixtures[i]) {
+			t.Fatalf("fixture model %d re-encodes differently", i)
 		}
 	}
-	if !bytes.Equal(encode(t, &got), encode(t, m)) {
-		t.Fatal("the version-2 fixture re-encodes differently from its model")
+	if short := fixtures[1]; binary.LittleEndian.Uint32(short[headerLen-4:]) != 0b11 {
+		t.Fatal("the short-horizon fixture model does not store exactly the Monday and Tuesday rows")
 	}
 }
 
@@ -143,46 +159,36 @@ func TestCodecReencodeFixedPoint(t *testing.T) {
 	}
 }
 
-// TestCodecSparseRejections covers the sparse decoder's structural
-// errors. Version 2, on the fixture: a bitmap bit beyond month 11 (bit
-// 12 is SI_m only from version 3 on). Version 3, on the encoder: bits
-// beyond 12, SI_m marked present but all zero, truncation, a trailing
-// byte and a version from the future.
+// TestCodecSparseRejections covers the decoder's structural errors, on
+// the encoder's own bytes: bitmap bits beyond the last table, a week row
+// and SI_m each marked present but all +0, truncation, a trailing byte,
+// and every version but this one.
 func TestCodecSparseRejections(t *testing.T) {
 	var got Model
-	v2 := readModelV2(t)
-	off2 := 8 + 8*(fixedScores+scoresPerMonth) // after SI_m
-	for _, bit := range []uint16{1 << 12, 1 << 15} {
-		bad := bytes.Clone(v2)
-		binary.LittleEndian.PutUint16(bad[off2:], binary.LittleEndian.Uint16(bad[off2:])|bit)
-		if err := got.UnmarshalBinary(bad); err == nil {
-			t.Fatalf("version 2: bitmap bit %#x accepted", bit)
-		}
-	}
-
 	good := encode(t, trainedModel(45*24))
-	off3 := 8 + 8*fixedScores
-	if p := binary.LittleEndian.Uint16(good[off3:]); p != 1<<simBit|0b11 {
-		t.Fatalf("version-3 bitmap %#x, want SI_m and two SI_y months", p)
+	off := headerLen - 4 // the bitmap
+	if p := binary.LittleEndian.Uint32(good[off:]); p != weekMask|1<<monthBit|0b11<<yearBit {
+		t.Fatalf("bitmap %#x, want the 7 SI_w rows, SI_m and two SI_y months", p)
 	}
-	for _, bit := range []uint16{1 << 13, 1 << 15} {
+	for _, bit := range []uint32{1 << numTables, 1 << 31} {
 		bad := bytes.Clone(good)
-		binary.LittleEndian.PutUint16(bad[off3:], binary.LittleEndian.Uint16(bad[off3:])|bit)
+		binary.LittleEndian.PutUint32(bad[off:], binary.LittleEndian.Uint32(bad[off:])|bit)
 		if err := got.UnmarshalBinary(bad); err == nil {
-			t.Fatalf("version 3: bitmap bit %#x accepted", bit)
+			t.Fatalf("bitmap bit %#x accepted", bit)
 		}
 	}
-	// SI_m marked present, written as zeros.
 	fresh := encode(t, New())
-	zeroSIm := append(bytes.Clone(fresh[:off3+2]), make([]byte, 8*scoresPerMonth)...)
-	zeroSIm = append(zeroSIm, fresh[off3+2:]...)
-	binary.LittleEndian.PutUint16(zeroSIm[off3:], 1<<simBit)
-	if err := got.UnmarshalBinary(zeroSIm); err == nil {
-		t.Fatal("an all-zero SI_m marked present accepted")
+	for _, tc := range []struct{ bit, scores int }{{3, simtime.HoursPerDay}, {monthBit, scoresPerMonth}} {
+		zero := append(bytes.Clone(fresh[:headerLen]), make([]byte, 8*tc.scores)...)
+		zero = append(zero, fresh[headerLen:]...)
+		binary.LittleEndian.PutUint32(zero[off:], 1<<tc.bit)
+		if err := got.UnmarshalBinary(zero); err == nil {
+			t.Fatalf("table %d marked present and written as +0 accepted", tc.bit)
+		}
 	}
 	// Truncation at a spread of byte boundaries (every boundary is the
 	// fuzz target's job; here we pin representative sections).
-	for _, n := range []int{0, 4, 8, 9, off3 + 1, off3 + 100, len(good) / 2, len(good) - 1} {
+	for _, n := range []int{0, 4, 8, 9, off + 1, off + 100, len(good) / 2, len(good) - 1} {
 		if err := got.UnmarshalBinary(good[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
@@ -190,22 +196,24 @@ func TestCodecSparseRejections(t *testing.T) {
 	if err := got.UnmarshalBinary(append(bytes.Clone(good), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
-	future := bytes.Clone(good)
-	binary.LittleEndian.PutUint32(future[4:], codecVersion+1)
-	if err := got.UnmarshalBinary(future); err == nil {
-		t.Fatal("unknown version accepted")
+	for _, v := range []uint32{1, 2, 3, codecVersion + 1} {
+		other := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(other[4:], v)
+		if err := got.UnmarshalBinary(other); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 }
 
 // TestCodecFreshModelTiny pins the size of an untrained model — the
 // common state of most VMs at the first checkpoint — and of every
-// model of a run shorter than SI_m's read-back gap: no table at all. An
-// allocated all-zero SI_m encodes as an absent one and decodes as
-// unallocated.
+// model of a run shorter than SI_w's read-back gap: SI_d, the bitmap and
+// the tail, no table at all. An allocated all-+0 SI_m encodes as an
+// absent one and decodes as unallocated.
 func TestCodecFreshModelTiny(t *testing.T) {
 	data := encode(t, New())
-	if len(data) > 1634 {
-		t.Fatalf("fresh model encodes to %d bytes; want at most 1,634", len(data))
+	if len(data) != 292 {
+		t.Fatalf("fresh model encodes to %d bytes; want 292", len(data))
 	}
 	zeroed := New()
 	zeroed.SIm = new(SIMonth)
@@ -221,10 +229,10 @@ func TestCodecFreshModelTiny(t *testing.T) {
 	}
 }
 
-// TestCodecWeekRows pins how SI_w rows cross the codec, whose layout
-// writes every row: an unallocated row encodes as 24 zeros, a row of +0
-// scores decodes as nil, and a row holding a −0 stays allocated, so its
-// bits re-encode unchanged.
+// TestCodecWeekRows pins how SI_w rows cross the codec: a row of +0
+// scores encodes as an absent one, decoding a model without a row leaves
+// it nil even where the receiver held one, and a row holding a −0 stays
+// allocated, so its bits re-encode unchanged.
 func TestCodecWeekRows(t *testing.T) {
 	fresh := encode(t, New())
 	zeroed := New()
@@ -236,6 +244,9 @@ func TestCodecWeekRows(t *testing.T) {
 	negZero.SIw[3] = new(SIDay)
 	negZero.SIw[3][5] = math.Copysign(0, -1)
 	data := encode(t, negZero)
+	if len(data) != len(fresh)+8*simtime.HoursPerDay {
+		t.Fatalf("a model with one SI_w row encodes to %d bytes, want %d", len(data), len(fresh)+8*simtime.HoursPerDay)
+	}
 	var got Model
 	if err := got.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
@@ -248,7 +259,7 @@ func TestCodecWeekRows(t *testing.T) {
 	}
 	for d, row := range got.SIw {
 		if row != nil {
-			t.Fatalf("the all-zero SI_w row %d decodes as allocated", d)
+			t.Fatalf("SI_w row %d, absent from the bytes, decodes as allocated", d)
 		}
 	}
 }
@@ -282,19 +293,19 @@ func TestAppendBinaryRightSized(t *testing.T) {
 	}
 }
 
-// FuzzModelDecode drives UnmarshalBinary with arbitrary bytes: no input
-// panics, an accepted version-3 input re-encodes to itself, and any
-// accepted input (version 1, 2 or 3) re-encodes as version 3 to a fixed
-// point.
+// FuzzModelDecode drives UnmarshalBinary with arbitrary bytes, seeded
+// from the fixtures: no input panics, and every accepted input
+// re-encodes to exactly itself.
 func FuzzModelDecode(f *testing.F) {
-	fresh, trained := encode(f, New()), encode(f, trainedModel(45*24))
-	f.Add(fresh)
+	fixtures := readModelFixtures(f)
+	trained := fixtures[0]
+	f.Add(encode(f, New()))
 	f.Add(trained)
-	f.Add(readModelV2(f))
-	f.Add(New().marshalDense(f))
+	f.Add(fixtures[1])
 	f.Add([]byte{})
 	f.Add(trained[:8])
 	f.Add(trained[:len(trained)-1])
+	f.Add(append(bytes.Clone(trained), fixtures[1]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Model
 		if err := m.UnmarshalBinary(data); err != nil {
@@ -303,16 +314,8 @@ func FuzzModelDecode(f *testing.F) {
 			}
 			return
 		}
-		enc := encode(t, &m)
-		if binary.LittleEndian.Uint32(data[4:]) == codecVersion && !bytes.Equal(enc, data) {
-			t.Fatal("accepted version-3 input does not re-encode to itself")
-		}
-		var again Model
-		if err := again.UnmarshalBinary(enc); err != nil {
-			t.Fatalf("re-encoded model does not decode: %v", err)
-		}
-		if !bytes.Equal(encode(t, &again), enc) {
-			t.Fatal("re-encoding is not a fixed point")
+		if !bytes.Equal(encode(t, &m), data) {
+			t.Fatal("accepted input does not re-encode to itself")
 		}
 	})
 }

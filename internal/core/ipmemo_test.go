@@ -82,9 +82,6 @@ func TestIPAtMatchesUncachedTwin(t *testing.T) {
 			default:
 				donor.Observe(simtime.Decompose(hour()), act())
 				data := encode(t, donor)
-				if rng.IntN(2) == 0 {
-					data = donor.marshalDense(t)
-				}
 				if err := m.UnmarshalBinary(data); err != nil {
 					t.Fatal(err)
 				}

@@ -77,9 +77,6 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 			Resumes:      int64(ms.Resumes),
 			GraceUntil:   int64(mon.GraceUntil),
 			MonSuspended: mon.Suspended,
-			Decisions:    mon.Decisions,
-			VetoGrace:    mon.VetoGrace,
-			VetoBusy:     mon.VetoBusy,
 			ResumedAt:    int64(rt.resumedAt),
 		}
 		if resident := h.VMs(); len(resident) > 0 {
@@ -137,18 +134,13 @@ func (r *Runner) captureState(hr simtime.Hour) *checkpoint.RunState {
 // A resumed run cannot carry a Probe: per-hour samples before the
 // checkpoint are gone, and the flight recorder (or a placement probe's
 // colocation matrix) would silently report a truncated history. It is
-// rejected with an error, not silently dropped. Nor can it restore a
-// policy state blob: captureState writes none, and no policy reads one.
+// rejected with an error, not silently dropped.
 func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *checkpoint.RunState) (*Runner, error) {
 	if cfg.Probe != nil {
 		return nil, fmt.Errorf("dcsim: a resumed run cannot attach a probe")
 	}
 	if st.Policy != policy.Name() {
 		return nil, fmt.Errorf("dcsim: checkpoint from policy %q cannot resume policy %q", st.Policy, policy.Name())
-	}
-	if len(st.PolicyState) > 0 {
-		return nil, fmt.Errorf("dcsim: checkpoint carries %d bytes of policy state, which policy %q cannot restore",
-			len(st.PolicyState), policy.Name())
 	}
 	if int64(cfg.StartHour) != st.StartHour || int64(cfg.Hours) != st.HorizonHours {
 		return nil, fmt.Errorf("dcsim: checkpoint from a [%d,+%d) run cannot resume a [%d,+%d) run",
@@ -280,9 +272,6 @@ func ResumeRunner(cfg Config, c *cluster.Cluster, policy cluster.Policy, st *che
 		rt.monitor.RestoreState(suspend.MonitorState{
 			GraceUntil: simtime.Time(hs.GraceUntil),
 			Suspended:  hs.MonSuspended,
-			Decisions:  hs.Decisions,
-			VetoGrace:  hs.VetoGrace,
-			VetoBusy:   hs.VetoBusy,
 		})
 		rt.resumedAt = simtime.Time(hs.ResumedAt)
 		switch power.State(hs.PState) {

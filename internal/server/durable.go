@@ -87,23 +87,28 @@ func (s *Server) journalAdmit(key, kind string, spec *JobSpec) error {
 	return s.durable.journal.Admit(checkpoint.Entry{Key: specHash(key), Kind: kind, Spec: body})
 }
 
-// journalComplete tombstones a settled job and removes its spill files.
-// Failures are counted, not surfaced — the job's result is already
-// published; the worst case of a lost tombstone is one redundant
-// (bit-identical) replay after the next restart.
-func (s *Server) journalComplete(key string) {
+// journalComplete tombstones a settled job, journaled under hash, and
+// removes the spill files of key's spec. Failures are counted, not
+// surfaced — the job's result is already published; the worst case of
+// a lost tombstone is one redundant (bit-identical) replay after the
+// next restart.
+func (s *Server) journalComplete(hash, key string) {
 	if s.durable == nil {
 		return
 	}
-	hash := specHash(key)
 	s.journalMu.Lock()
 	err := s.durable.journal.Complete(hash)
 	s.journalMu.Unlock()
 	if err != nil {
 		s.spillErrors.Add(1)
 	}
-	// The glob also sweeps .ckpt.tmp leftovers a crash mid-spill left.
-	matches, _ := filepath.Glob(filepath.Join(s.durable.dir, "checkpoints", hash+"-c*"))
+	s.durable.removeSpills(specHash(key))
+}
+
+// removeSpills deletes the spill files of the spec hashing to hash. The
+// glob also sweeps .ckpt.tmp leftovers a crash mid-spill left.
+func (d *durableState) removeSpills(hash string) {
+	matches, _ := filepath.Glob(filepath.Join(d.dir, "checkpoints", hash+"-c*"))
 	for _, m := range matches {
 		os.Remove(m) //nolint:errcheck // best-effort cleanup; replay tolerates leftovers
 	}
@@ -186,8 +191,11 @@ func writeFileSync(path string, data []byte) error {
 // reports ready only once every replayed job has settled. Specs that no
 // longer parse or validate (a binary downgrade, a hand-edited journal)
 // are tombstoned and skipped — recovery must converge, not crash-loop.
-// Replay bypasses the admission queue and the memory budget: these jobs
-// were already admitted once, durably.
+// A job another build journaled rebuilds under this build's key, whose
+// hash names its spills, and settles by tombstoning the journaled hash;
+// the spills under that hash hold checkpoints another build captured,
+// so they are deleted unread. Replay bypasses the admission queue and
+// the memory budget: these jobs were already admitted once, durably.
 func (s *Server) recoverPending() {
 	defer s.ready.Store(true)
 	if s.durable == nil {
@@ -200,6 +208,9 @@ func (s *Server) recoverPending() {
 	var started []replayJob
 	for _, ent := range s.durable.pending {
 		key, run, err := s.rebuildJob(ent)
+		if err != nil || specHash(key) != ent.Key {
+			s.durable.removeSpills(ent.Key)
+		}
 		if err != nil {
 			// Unreplayable: tombstone so the next restart is clean.
 			s.journalMu.Lock()
@@ -213,7 +224,7 @@ func (s *Server) recoverPending() {
 			continue // duplicate journal keys collapse onto one job
 		}
 		s.replayed.Add(1)
-		s.startJob(key, e, run)
+		s.startJob(key, ent.Key, e, run)
 		started = append(started, replayJob{key, e})
 	}
 	for _, rj := range started {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -23,10 +24,10 @@ import (
 // for 3 days, 4 policy cells, a few tens of milliseconds of simulation.
 const durableSpec = `{"family":"always-on-mix","hosts":6,"horizon_days":3}`
 
-// durableKey computes the cache key the server derives for durableSpec
-// — tests pre-seed journals and spill files under exactly the names the
-// daemon will look for.
-func durableKey(t *testing.T) string {
+// durableHash computes the spec hash a server of the given version
+// derives for durableSpec — tests pre-seed journals and spill files
+// under exactly the names the daemon will look for.
+func durableHash(t *testing.T, version string) string {
 	t.Helper()
 	spec, err := ParseJobSpec([]byte(durableSpec))
 	if err != nil {
@@ -36,7 +37,65 @@ func durableKey(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cacheKey("run", sc, spec.params(), "test")
+	return specHash(cacheKey("run", sc, spec.params(), version))
+}
+
+// seedDurable leaves dir as an interrupted daemon would have: durableSpec
+// admitted under hash and never tombstoned, and the given spills, by
+// cell, under hash's names.
+func seedDurable(t *testing.T, dir, hash string, spills map[int][]byte) {
+	t.Helper()
+	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "jobs.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Admit(checkpoint.Entry{Key: hash, Kind: "run", Spec: []byte(durableSpec)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for cell, blob := range spills {
+		path := filepath.Join(dir, "checkpoints", hash+"-c"+strconv.Itoa(cell)+".ckpt")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// captureSpills runs durableSpec with a daily checkpoint sink and
+// returns each cell's latest checkpoint: the spills a daemon killed
+// near the end of the job would have left.
+func captureSpills(t *testing.T) map[int][]byte {
+	t.Helper()
+	latest := map[int][]byte{}
+	var mu sync.Mutex // the sink fires from concurrently running cells
+	_, err := scenario.RunFamily("always-on-mix",
+		scenario.Params{Hosts: 6, HorizonHours: 3 * 24, ShardWorkers: 1},
+		scenario.Options{Checkpoint: &scenario.CheckpointPlan{
+			EveryHours: 24,
+			Sink: func(cell int, policy string, hr simtime.Hour, data []byte) {
+				mu.Lock()
+				defer mu.Unlock()
+				latest[cell] = data // later hours overwrite: keep the newest
+			},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(latest) == 0 {
+		t.Fatal("capture run produced no checkpoints")
+	}
+	return latest
+}
+
+// spillFiles lists the .ckpt files under dir's checkpoints directory.
+func spillFiles(dir string) []string {
+	spills, _ := filepath.Glob(filepath.Join(dir, "checkpoints", "*.ckpt"))
+	return spills
 }
 
 // waitReady polls /readyz until it reports 200 or the deadline expires.
@@ -105,50 +164,9 @@ func TestJournalRecovery(t *testing.T) {
 	_, _, want := post(t, plainTS, "/v1/run", durableSpec)
 
 	dir := t.TempDir()
-	hash := specHash(durableKey(t))
-
-	// Seed the journal exactly as an interrupted daemon would have:
-	// admitted, never tombstoned.
-	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "jobs.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Admit(checkpoint.Entry{Key: hash, Kind: "run", Spec: []byte(durableSpec)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
 	// Seed per-cell checkpoint spills from a real captured run, so the
 	// replay exercises the resume path, not just re-execution.
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	latest := map[int][]byte{}
-	var mu sync.Mutex // the sink fires from concurrently running cells
-	_, err = scenario.RunFamily("always-on-mix",
-		scenario.Params{Hosts: 6, HorizonHours: 3 * 24, ShardWorkers: 1},
-		scenario.Options{Checkpoint: &scenario.CheckpointPlan{
-			EveryHours: 24,
-			Sink: func(cell int, policy string, hr simtime.Hour, data []byte) {
-				mu.Lock()
-				defer mu.Unlock()
-				latest[cell] = data // later hours overwrite: keep the newest
-			},
-		}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(latest) == 0 {
-		t.Fatal("capture run produced no checkpoints")
-	}
-	for cell, blob := range latest {
-		path := filepath.Join(dir, "checkpoints", hash+"-c"+strconv.Itoa(cell)+".ckpt")
-		if err := os.WriteFile(path, blob, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	seedDurable(t, dir, durableHash(t, "test"), captureSpills(t))
 
 	s := mustNew(t, Config{Version: "test", StateDir: dir, CheckpointEveryHours: 24})
 	ts := httptest.NewServer(s.Handler())
@@ -172,10 +190,7 @@ func TestJournalRecovery(t *testing.T) {
 	// durability), so poll rather than assert: spill removal is the last
 	// step of journalComplete, and once the spills are gone the
 	// tombstone is already down.
-	waitFor(t, "journal tombstoned and spills removed", func() bool {
-		spills, _ := filepath.Glob(filepath.Join(dir, "checkpoints", "*.ckpt"))
-		return len(spills) == 0
-	})
+	waitFor(t, "journal tombstoned and spills removed", func() bool { return len(spillFiles(dir)) == 0 })
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,55 +206,89 @@ func TestJournalRecovery(t *testing.T) {
 
 // TestJournalRecoveryBadSpill: a spill that fails to decode is deleted
 // and counted as a spill error, and its cell runs from hour zero — the
-// recovered response is byte-identical to the stateless daemon's. The
-// cadence is longer than the run, so the replay writes no spill of its
-// own and the one error is the bad spill's.
+// recovered response is byte-identical to the stateless daemon's. Two
+// inputs fail: bytes that are no checkpoint, and a real spill whose
+// DrCP version field names another version. The cadence is longer than
+// the run, so the replay writes no spill of its own and the one error
+// is the bad spill's.
 func TestJournalRecoveryBadSpill(t *testing.T) {
 	_, plainTS := newTestServer(t)
 	_, _, want := post(t, plainTS, "/v1/run", durableSpec)
 
+	otherVersion := bytes.Clone(captureSpills(t)[0])
+	binary.LittleEndian.PutUint32(otherVersion[4:], binary.LittleEndian.Uint32(otherVersion[4:])+1)
+	for name, blob := range map[string][]byte{
+		"not a checkpoint": []byte("not a checkpoint"),
+		"other version":    otherVersion,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			seedDurable(t, dir, durableHash(t, "test"), map[int][]byte{0: blob})
+
+			s := mustNew(t, Config{Version: "test", StateDir: dir})
+			t.Cleanup(func() { s.Close() }) //nolint:errcheck
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+			waitReady(t, ts)
+
+			if got := s.Stats().ReplayedJobs; got != 1 {
+				t.Fatalf("replayed %d jobs, want 1", got)
+			}
+			status, cache, got := post(t, ts, "/v1/run", durableSpec)
+			if status != http.StatusOK || cache != "hit" {
+				t.Fatalf("recovered request = %d cache=%s", status, cache)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatal("response after a bad spill differs from the stateless daemon's")
+			}
+			waitFor(t, "bad spill removed", func() bool { return len(spillFiles(dir)) == 0 })
+			if got := s.Stats().SpillErrors; got != 1 {
+				t.Fatalf("%d spill errors, want 1 (the bad spill)", got)
+			}
+		})
+	}
+}
+
+// TestJournalRecoveryAcrossVersions: a daemon upgraded with a job in
+// flight replays it under its own version's key, whose hash differs
+// from the journaled one. The replay tombstones the journaled hash, so
+// a second start opens the journal cleanly and replays nothing. The
+// spills the old build left under its hash are deleted unread (reading
+// them would count a spill error: they carry another DrCP version), and
+// the replay's own spills are removed when it settles.
+func TestJournalRecoveryAcrossVersions(t *testing.T) {
+	_, plainTS := newTestServer(t)
+	_, _, want := post(t, plainTS, "/v1/run", durableSpec)
+
 	dir := t.TempDir()
-	hash := specHash(durableKey(t))
-	j, _, err := checkpoint.OpenJournal(filepath.Join(dir, "jobs.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Admit(checkpoint.Entry{Key: hash, Kind: "run", Spec: []byte(durableSpec)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	spill := filepath.Join(dir, "checkpoints", hash+"-c0.ckpt")
-	if err := os.WriteFile(spill, []byte("not a checkpoint"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	old := bytes.Clone(captureSpills(t)[0])
+	binary.LittleEndian.PutUint32(old[4:], binary.LittleEndian.Uint32(old[4:])-1)
+	seedDurable(t, dir, durableHash(t, "old"), map[int][]byte{0: old})
 
-	s := mustNew(t, Config{Version: "test", StateDir: dir})
-	t.Cleanup(func() { s.Close() }) //nolint:errcheck
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	waitReady(t, ts)
-
-	if got := s.Stats().ReplayedJobs; got != 1 {
-		t.Fatalf("replayed %d jobs, want 1", got)
-	}
-	status, cache, got := post(t, ts, "/v1/run", durableSpec)
-	if status != http.StatusOK || cache != "hit" {
-		t.Fatalf("recovered request = %d cache=%s", status, cache)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatal("response after a bad spill differs from the stateless daemon's")
-	}
-	waitFor(t, "bad spill removed", func() bool {
-		_, err := os.Stat(spill)
-		return os.IsNotExist(err)
-	})
-	if got := s.Stats().SpillErrors; got != 1 {
-		t.Fatalf("%d spill errors, want 1 (the bad spill)", got)
+	for start := 1; start <= 2; start++ {
+		s := mustNew(t, Config{Version: "new", StateDir: dir, CheckpointEveryHours: 24})
+		ts := httptest.NewServer(s.Handler())
+		waitReady(t, ts)
+		if got, want := s.Stats().ReplayedJobs, uint64(2-start); got != want {
+			t.Fatalf("start %d replayed %d jobs, want %d", start, got, want)
+		}
+		if start == 1 {
+			status, cache, got := post(t, ts, "/v1/run", durableSpec)
+			if status != http.StatusOK || cache != "hit" {
+				t.Fatalf("recovered request = %d cache=%s", status, cache)
+			}
+			if !bytes.Equal(want, got) {
+				t.Fatal("response recovered across versions differs from the stateless daemon's")
+			}
+			waitFor(t, "every spill removed", func() bool { return len(spillFiles(dir)) == 0 })
+			if got := s.Stats().SpillErrors; got != 0 {
+				t.Fatalf("%d spill errors, want 0: the old build's spill was read", got)
+			}
+		}
+		ts.Close()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

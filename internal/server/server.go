@@ -27,11 +27,11 @@ type Config struct {
 	// Limits bounds what one request may ask for (zero fields =
 	// defaults; see Limits).
 	Limits Limits
-	// Version stamps the result-cache key, so a cache carried across a
-	// code change (not possible with this in-memory cache, but the key
-	// contract outlives the storage choice) can never serve bytes an
-	// older binary computed. Empty selects the module build revision
-	// when available, else "dev".
+	// Version stamps the result-cache key. The key's hash also names the
+	// checkpoint spill files under StateDir, which outlive the process,
+	// so a daemon never resumes from spills, nor serves bytes, that a
+	// binary of another version computed. Empty selects the module
+	// build revision when available, else "dev".
 	Version string
 	// AccessLog, when non-nil, receives one structured line per request
 	// (except /healthz — liveness probes would drown the log). Lines are
@@ -346,7 +346,7 @@ func (s *Server) admitJob(key, kind string, spec *JobSpec, e *entry, run func(sc
 		s.cache.fail(key, e, err)
 		return
 	}
-	s.startJob(key, e, run)
+	s.startJob(key, specHash(key), e, run)
 }
 
 // respondTimeseries runs the job with a flight recorder attached and
@@ -452,10 +452,10 @@ type jsonReport interface{ WriteJSON(io.Writer) error }
 // but under the server's root job context, so the drain path can cancel
 // it cooperatively at an hour boundary. Execution goes through the
 // panic barrier (runShielded); with durable state, checkpoints spill
-// under the state dir and the journal entry is tombstoned when the job
-// settles — except on drain cancellation, where it stays pending so the
-// next start resumes from the spills.
-func (s *Server) startJob(key string, e *entry, run func(scenario.Options) (jsonReport, error)) {
+// under the state dir and the job's journal entry, under hash, is
+// tombstoned when the job settles — except on drain cancellation, where
+// it stays pending so the next start resumes from the spills.
+func (s *Server) startJob(key, hash string, e *entry, run func(scenario.Options) (jsonReport, error)) {
 	s.pool.Go(func() {
 		s.runs.Add(1)
 		opt := scenario.Options{
@@ -478,19 +478,19 @@ func (s *Server) startJob(key string, e *entry, run func(scenario.Options) (json
 				// Deterministic failure: replaying it would only fail
 				// again. Cancellation instead leaves the entry pending
 				// for resume-on-restart.
-				s.journalComplete(key)
+				s.journalComplete(hash, key)
 			}
 			s.cache.fail(key, e, err)
 			return
 		}
 		var buf bytes.Buffer
 		if err := rep.WriteJSON(&buf); err != nil {
-			s.journalComplete(key)
+			s.journalComplete(hash, key)
 			s.cache.fail(key, e, err)
 			return
 		}
 		s.cache.fulfill(e, buf.Bytes())
-		s.journalComplete(key)
+		s.journalComplete(hash, key)
 	})
 }
 

@@ -119,9 +119,6 @@ type Monitor struct {
 	host       Host
 	graceUntil simtime.Time
 	suspended  bool
-	decisions  uint64
-	vetoGrace  uint64
-	vetoBusy   uint64
 }
 
 // NewMonitor creates a suspending module watching the given host.
@@ -163,16 +160,7 @@ func (m *Monitor) GraceUntil() simtime.Time { return m.graceUntil }
 // so computes the waking date. It does not mutate host state; the caller
 // drives the actual transition (and then calls OnSuspend).
 func (m *Monitor) Check(now simtime.Time) Decision {
-	m.decisions++
-	if m.suspended {
-		return Decision{}
-	}
-	if now < m.graceUntil {
-		m.vetoGrace++
-		return Decision{}
-	}
-	if !m.host.Idle() {
-		m.vetoBusy++
+	if m.suspended || now < m.graceUntil || !m.host.Idle() {
 		return Decision{}
 	}
 	d := Decision{Suspend: true}
@@ -186,20 +174,11 @@ func (m *Monitor) Check(now simtime.Time) Decision {
 type MonitorState struct {
 	GraceUntil simtime.Time
 	Suspended  bool
-	Decisions  uint64
-	VetoGrace  uint64
-	VetoBusy   uint64
 }
 
 // CheckpointState captures the monitor's full mutable state.
 func (m *Monitor) CheckpointState() MonitorState {
-	return MonitorState{
-		GraceUntil: m.graceUntil,
-		Suspended:  m.suspended,
-		Decisions:  m.decisions,
-		VetoGrace:  m.vetoGrace,
-		VetoBusy:   m.vetoBusy,
-	}
+	return MonitorState{GraceUntil: m.graceUntil, Suspended: m.suspended}
 }
 
 // RestoreState overwrites the monitor's mutable state with a previously
@@ -208,7 +187,4 @@ func (m *Monitor) CheckpointState() MonitorState {
 func (m *Monitor) RestoreState(s MonitorState) {
 	m.graceUntil = s.GraceUntil
 	m.suspended = s.Suspended
-	m.decisions = s.Decisions
-	m.vetoGrace = s.VetoGrace
-	m.vetoBusy = s.VetoBusy
 }

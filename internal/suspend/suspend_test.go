@@ -137,19 +137,16 @@ func TestCheckVetoesBusyHost(t *testing.T) {
 	pid := os.Spawn("qemu-v2", ossim.StateRunning)
 	m := NewMonitor(Config{UseGrace: true}, os)
 	m.OnResume(0, 1.0)
-	if d := m.Check(100); d.Suspend {
-		t.Fatal("busy host must not suspend")
+	if d := m.Check(100); d != (Decision{}) {
+		t.Fatalf("busy host: decision %+v, want a veto", d)
 	}
 	os.SetState(pid, ossim.StateBlockedIO)
-	if d := m.Check(100); d.Suspend {
-		t.Fatal("blocked-on-IO host must not suspend")
+	if d := m.Check(100); d != (Decision{}) {
+		t.Fatalf("blocked-on-IO host: decision %+v, want a veto", d)
 	}
 	os.SetState(pid, ossim.StateSleeping)
-	if d := m.Check(100); !d.Suspend {
-		t.Fatal("sleeping host should suspend")
-	}
-	if st := m.CheckpointState(); st.VetoGrace != 0 || st.VetoBusy != 2 {
-		t.Fatalf("veto counts grace=%d busy=%d", st.VetoGrace, st.VetoBusy)
+	if d := m.Check(100); d != (Decision{Suspend: true}) {
+		t.Fatalf("sleeping host with no timer: decision %+v, want a suspension with no waking date", d)
 	}
 }
 
